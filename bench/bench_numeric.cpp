@@ -4,7 +4,10 @@
 //   1. Kernel sweep: the largest LU fronts of the biggest unsymmetric
 //      Table-1 problem, factored with the pre-blocking scalar kernel and
 //      the blocked kernel (bit-identical results); GFLOP/s of each and
-//      the single-thread speedup.
+//      the single-thread speedup. Then the split kernel on the largest
+//      of those fronts at 1, 2 and 4 workers (intra-front slices through
+//      a SliceHub): GFLOP/s and the speedup over 1 worker; the bench
+//      exits nonzero if a split run's bits differ from the reference.
 //   2. Per-problem factorization: every Table-1 matrix, serial reference
 //      vs serial blocked vs tree-parallel at N workers; model GFLOP/s,
 //      speedups, and the arena peak against the predicted physical peak
@@ -33,6 +36,7 @@
 // timeline (per-worker subtree/upper-part/kernel spans) and writes a
 // metrics snapshot next to it.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -40,6 +44,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -47,6 +52,7 @@
 #include "memfront/frontal/kernels.hpp"
 #include "memfront/obs/metrics.hpp"
 #include "memfront/solver/parallel_numeric.hpp"
+#include "memfront/solver/slice_hub.hpp"
 #include "memfront/support/rng.hpp"
 
 namespace {
@@ -167,6 +173,64 @@ struct KernelRow {
   double blocked_s = 0.0;
   double flops = 0.0;
 };
+
+/// One worker count of the split-kernel row.
+struct SplitRow {
+  unsigned workers = 0;
+  double seconds = 0.0;
+  bool bitwise = false;
+};
+
+/// workers - 1 helper threads joining the fronts a SliceHub's worker 0
+/// posts, until destruction (which also joins them on unwinding).
+struct HubHelpers {
+  SliceHub hub;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+
+  explicit HubHelpers(unsigned workers) : hub(workers) {
+    for (unsigned w = 1; w < workers; ++w)
+      threads.emplace_back([this, w] {
+        while (!stop.load()) {
+          if (hub.joinable(w))
+            hub.help(w, [this] { return stop.load(); });
+          else
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+      });
+  }
+  ~HubHelpers() {
+    stop.store(true);
+    hub.wake();
+    for (std::thread& t : threads) t.join();
+  }
+};
+
+/// Times the blocked LU kernel on one front split across `workers`
+/// threads: the calling thread is the master, workers - 1 helper threads
+/// join its steps through a SliceHub. Checks the split result's bits
+/// against `reference` (the scalar kernel's output).
+SplitRow time_split_kernel(const std::vector<double>& original, index_t n,
+                           index_t npiv, unsigned workers,
+                           const std::vector<double>& reference,
+                           int min_reps) {
+  HubHelpers helpers(workers);
+  FrontSlicer& slicer = helpers.hub.slicer(0);
+  SliceRunner* runner = workers > 1 ? &slicer : nullptr;
+  const auto factor = [&](FrontView f, index_t np) {
+    slicer.begin_front(0);
+    (void)partial_lu_blocked(f, np, runner);
+    slicer.end_front();
+  };
+  SplitRow row;
+  row.workers = workers;
+  row.seconds = time_kernel(original, n, npiv, factor, min_reps);
+  std::vector<double> work = original;
+  factor(FrontView{work.data(), n, n}, npiv);
+  row.bitwise = std::memcmp(work.data(), reference.data(),
+                            work.size() * sizeof(double)) == 0;
+  return row;
+}
 
 struct ProblemRow {
   std::string name;
@@ -318,6 +382,43 @@ int main(int argc, char** argv) {
   ktable.print(std::cout);
   std::cout << "\nkernel sweep single-thread speedup (total): "
             << kernel_speedup << "x\n\n";
+
+  // Split kernel: the largest swept front, its panel steps cut into
+  // column slices and run by 1, 2 and 4 workers.
+  std::vector<SplitRow> split_rows;
+  bool split_bitwise = true;
+  if (!kernel_rows.empty()) {
+    const KernelRow& big = kernel_rows.front();
+    const std::vector<double> original = random_front(big.nfront, 1000);
+    std::vector<double> reference = original;
+    (void)partial_lu_reference(FrontView{reference.data(), big.nfront,
+                                         big.nfront},
+                               big.npiv);
+    TextTable stable({"workers", "split (ms)", "GF/s", "speedup x",
+                      "bitwise"});
+    for (unsigned w : {1u, 2u, 4u}) {
+      const SplitRow row = time_split_kernel(original, big.nfront, big.npiv,
+                                             w, reference, min_reps);
+      split_bitwise = split_bitwise && row.bitwise;
+      stable.row();
+      stable.cell(static_cast<long>(w));
+      stable.cell(row.seconds * 1e3, 2);
+      stable.cell(big.flops / row.seconds / 1e9, 2);
+      stable.cell(split_rows.empty() ? 1.0
+                                     : split_rows.front().seconds / row.seconds,
+                  2);
+      stable.cell(row.bitwise ? "yes" : "NO");
+      split_rows.push_back(row);
+    }
+    std::cout << "split kernel on the largest PRE2 front (nfront="
+              << big.nfront << ", npiv=" << big.npiv
+              << "): GF/s = model flops / time, speedup = 1-worker time / "
+                 "time\n";
+    stable.print(std::cout);
+    std::cout << "\nsplit kernel results "
+              << (split_bitwise ? "bit-identical to" : "DIVERGE FROM")
+              << " the scalar reference\n\n";
+  }
 
   // ---- 2. per-problem factorization sweep ----------------------------------
   TextTable ptable({"Matrix", "type", "GFlop", "scalar (s)", "blocked (s)",
@@ -566,6 +667,15 @@ int main(int argc, char** argv) {
          << ", \"blocked_gflops\": " << r.flops / r.blocked_s / 1e9 << "}"
          << (i + 1 < kernel_rows.size() ? "," : "") << "\n";
   }
+  json << "  ],\n  \"split_kernel\": [\n";
+  for (std::size_t i = 0; i < split_rows.size(); ++i) {
+    const SplitRow& r = split_rows[i];
+    json << "    {\"workers\": " << r.workers << ", \"seconds\": " << r.seconds
+         << ", \"gflops\": " << kernel_rows.front().flops / r.seconds / 1e9
+         << ", \"speedup\": " << split_rows.front().seconds / r.seconds
+         << ", \"bitwise\": " << (r.bitwise ? "true" : "false") << "}"
+         << (i + 1 < split_rows.size() ? "," : "") << "\n";
+  }
   json << "  ],\n  \"problems\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ProblemRow& r = rows[i];
@@ -616,6 +726,10 @@ int main(int argc, char** argv) {
   obs_args.finish();
   if (!arena_matches) {
     std::cerr << "bench_numeric: arena peak diverged from prediction\n";
+    return 1;
+  }
+  if (!split_bitwise) {
+    std::cerr << "bench_numeric: split kernel diverged from the reference\n";
     return 1;
   }
   return 0;

@@ -17,6 +17,19 @@ constexpr index_t kRowTile = 128;
 constexpr index_t kColTile = 240;
 constexpr index_t kMicroRows = 4;
 constexpr index_t kMicroCols = 4;
+// Intra-front split floor: a panel step's trailing update (2*nt*nt*kb
+// flops) is cut into slices only from this size up. One fork/join of a
+// step with parked helpers — post, futex wake, claims, the master's
+// join — measured about 50 us at the median (up to about 200 us at p90)
+// on a 4-vCPU Xeon VM with gcc -O2; 12 MFLOP is about 2 ms of
+// blocked-kernel work at its 6 GF/s, so the median join stays near 2.5%
+// of the step it splits.
+constexpr count_t kSplitFloorFlops = 12'000'000;
+// Slices per joining thread: enough that a helper arriving late, or a
+// core the host slows down, costs a fraction of a slice instead of a
+// whole one (with 2 per thread, one late helper left the step 1.5x its
+// balanced length; 4 and 8 measured alike).
+constexpr index_t kSlicesPerThread = 4;
 
 inline std::size_t stride(index_t i, index_t ld) {
   return static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
@@ -105,7 +118,37 @@ inline double settle_pivot(double d, PartialFactorResult& result) {
   return d;
 }
 
+/// Runs a panel step's trailing update update(c0, c1) over columns
+/// [k1, n): in one call, or cut into trailing_slices ranges on
+/// 4-column boundaries (relative to k1, so the microkernel tiles every
+/// column exactly as the unsplit call does) and forked through the
+/// runner.
+template <typename Update>
+void run_trailing(SliceRunner* slices, index_t k1, index_t n, index_t kb,
+                  const Update& update) {
+  const index_t nt = n - k1;
+  const index_t count =
+      slices ? trailing_slices(nt, kb, slices->width()) : 1;
+  if (count <= 1) {
+    update(k1, n);
+    return;
+  }
+  const index_t units = (nt + kMicroCols - 1) / kMicroCols;
+  const auto body = [&](index_t s) {
+    const index_t u0 = s * units / count;
+    const index_t u1 = (s + 1) * units / count;
+    update(k1 + u0 * kMicroCols, std::min(n, k1 + u1 * kMicroCols));
+  };
+  slices->run(count, SliceBody(body));
+}
+
 }  // namespace
+
+index_t trailing_slices(index_t nt, index_t kb, index_t width) {
+  if (2 * static_cast<count_t>(nt) * nt * kb < kSplitFloorFlops) return 1;
+  return std::min<index_t>(std::max<index_t>(width, 1) * kSlicesPerThread,
+                           (nt + kMicroCols - 1) / kMicroCols);
+}
 
 void schur_update(index_t m, index_t n, index_t kb, const double* a,
                   index_t lda, const double* b, index_t ldb, double* c,
@@ -132,7 +175,8 @@ void schur_update(index_t m, index_t n, index_t kb, const double* a,
   }
 }
 
-PartialFactorResult partial_lu_blocked(FrontView f, index_t npiv) {
+PartialFactorResult partial_lu_blocked(FrontView f, index_t npiv,
+                                       SliceRunner* slices) {
   const index_t n = f.n;
   check(npiv >= 0 && npiv <= n, "partial_lu: bad npiv");
   check(f.ld >= n, "partial_lu: bad leading dimension");
@@ -171,39 +215,51 @@ PartialFactorResult partial_lu_blocked(FrontView f, index_t npiv) {
           for (index_t r = k + 1; r < n; ++r) col[r] -= lcol[r] * ukc;
         }
       }
-      // Bring the rest of the front in line with the interchanges, oldest
-      // pivot first (row contents just move; values are untouched).
+      // Bring the finished columns left of the panel in line with the
+      // interchanges, oldest pivot first (row contents just move; values
+      // are untouched). The trailing columns follow in their update.
       for (index_t k = k0; k < k1; ++k) {
         const index_t piv = result.pivot_rows[static_cast<std::size_t>(k)];
         if (piv == k) continue;
         for (index_t c = 0; c < k0; ++c) std::swap(f.at(k, c), f.at(piv, c));
-        for (index_t c = k1; c < n; ++c) std::swap(f.at(k, c), f.at(piv, c));
       }
     }
     if (k1 == n) continue;
-    {
-      MEMFRONT_SPAN("trsm", k0);
-      // U12 rows of this panel: unit-lower triangular solve. Each element
-      // (r,c) subtracts its products for k = k0..r-1 in order — the scalar
-      // loop's exact sequence for those rows.
-      for (index_t c = k1; c < n; ++c) {
-        double* col = f.col(c);
-        for (index_t r = k0 + 1; r < k1; ++r) {
-          double s = col[r];
-          for (index_t k = k0; k < r; ++k) s -= f.at(r, k) * col[k];
-          col[r] = s;
+    // Trailing update of columns [c0,c1): everything it reads outside
+    // them is the finished panel, so column ranges are independent jobs.
+    const auto update = [&](index_t c0, index_t c1) {
+      {
+        MEMFRONT_SPAN("trsm", k0);
+        // The panel's interchanges, then the U12 rows: unit-lower
+        // triangular solve. Each element (r,c) subtracts its products for
+        // k = k0..r-1 in order — the scalar loop's exact sequence for
+        // those rows.
+        for (index_t c = c0; c < c1; ++c) {
+          double* col = f.col(c);
+          for (index_t k = k0; k < k1; ++k) {
+            const index_t piv = result.pivot_rows[static_cast<std::size_t>(k)];
+            if (piv != k) std::swap(col[k], col[piv]);
+          }
+          for (index_t r = k0 + 1; r < k1; ++r) {
+            double s = col[r];
+            for (index_t k = k0; k < r; ++k) s -= f.at(r, k) * col[k];
+            col[r] = s;
+          }
         }
       }
-    }
-    // Trailing Schur update: rows/cols >= k1 against this panel's L and U.
-    MEMFRONT_SPAN("schur", k0);
-    schur_update(n - k1, n - k1, k1 - k0, &f.at(k1, k0), f.ld, &f.at(k0, k1),
-                 f.ld, &f.at(k1, k1), f.ld);
+      // Trailing Schur update: rows >= k1 of these columns against this
+      // panel's L and U.
+      MEMFRONT_SPAN("schur", k0);
+      schur_update(n - k1, c1 - c0, k1 - k0, &f.at(k1, k0), f.ld,
+                   &f.at(k0, c0), f.ld, &f.at(k1, c0), f.ld);
+    };
+    run_trailing(slices, k1, n, k1 - k0, update);
   }
   return result;
 }
 
-PartialFactorResult partial_ldlt_blocked(FrontView f, index_t npiv) {
+PartialFactorResult partial_ldlt_blocked(FrontView f, index_t npiv,
+                                         SliceRunner* slices) {
   const index_t n = f.n;
   check(npiv >= 0 && npiv <= n, "partial_ldlt: bad npiv");
   check(f.ld >= n, "partial_ldlt: bad leading dimension");
@@ -231,23 +287,27 @@ PartialFactorResult partial_ldlt_blocked(FrontView f, index_t npiv) {
       }
     }
     if (k1 == n) continue;
-    {
-      MEMFRONT_SPAN("trsm", k0);
-      // Trailing part of the mirrored pivot rows. These are exactly the
-      // scalar loop's `w = l(c,k) * d` values, written where the scalar
-      // mirror would land them — so the block below IS the GEMM's B operand
-      // and the trailing columns' panel rows are final without any update
-      // (the scalar loop's updates to those rows are dead stores: the
-      // mirror at step r overwrites row r before anything reads it).
-      for (index_t k = k0; k < k1; ++k) {
-        const double d = f.at(k, k);
-        const double* lcol = f.col(k);
-        for (index_t c = k1; c < n; ++c) f.at(k, c) = lcol[c] * d;
+    const auto update = [&](index_t c0, index_t c1) {
+      {
+        MEMFRONT_SPAN("trsm", k0);
+        // Trailing part of the mirrored pivot rows. These are exactly the
+        // scalar loop's `w = l(c,k) * d` values, written where the scalar
+        // mirror would land them — so the block below IS the GEMM's B
+        // operand and the trailing columns' panel rows are final without
+        // any update (the scalar loop's updates to those rows are dead
+        // stores: the mirror at step r overwrites row r before anything
+        // reads it).
+        for (index_t k = k0; k < k1; ++k) {
+          const double d = f.at(k, k);
+          const double* lcol = f.col(k);
+          for (index_t c = c0; c < c1; ++c) f.at(k, c) = lcol[c] * d;
+        }
       }
-    }
-    MEMFRONT_SPAN("schur", k0);
-    schur_update(n - k1, n - k1, k1 - k0, &f.at(k1, k0), f.ld, &f.at(k0, k1),
-                 f.ld, &f.at(k1, k1), f.ld);
+      MEMFRONT_SPAN("schur", k0);
+      schur_update(n - k1, c1 - c0, k1 - k0, &f.at(k1, k0), f.ld,
+                   &f.at(k0, c0), f.ld, &f.at(k1, c0), f.ld);
+    };
+    run_trailing(slices, k1, n, k1 - k0, update);
   }
   return result;
 }

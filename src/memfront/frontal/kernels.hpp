@@ -53,6 +53,53 @@ struct PartialFactorResult {
   double max_pivot_abs = 0.0;
 };
 
+/// Non-owning reference to a slice job `void(index_t slice)`: what a
+/// SliceRunner hands to its threads. The referenced callable must outlive
+/// every call.
+class SliceBody {
+ public:
+  template <typename F>
+  explicit SliceBody(const F& f)
+      : obj_(&f), call_([](const void* o, index_t s) {
+          (*static_cast<const F*>(o))(s);
+        }) {}
+  void operator()(index_t s) const { call_(obj_, s); }
+
+ private:
+  const void* obj_;
+  void (*call_)(const void*, index_t);
+};
+
+/// Fork/join hook of the blocked kernels (intra-front parallelism).
+///
+/// Given a runner, a blocked kernel cuts each panel step whose trailing
+/// update is above the split floor (trailing_slices) into contiguous
+/// column ranges on 4-column boundaries and runs them through run(). A
+/// range is one self-contained job on its own columns: LU applies the
+/// panel's row interchanges, the TRSM and the Schur update to them;
+/// LDLᵀ writes the mirrored pivot rows and the Schur update. The panel
+/// itself, with its pivot search, stays serial. Every element's
+/// subtraction chain is unchanged, so the bits are too; slicing only
+/// reorders writes to disjoint columns.
+class SliceRunner {
+ public:
+  /// Threads that may run slices at once (>= 1); sizes the cut.
+  virtual index_t width() const = 0;
+  /// Calls body(s) exactly once for every s in [0, count), on any of the
+  /// runner's threads, and returns only after every call has returned.
+  /// If calls throw, one of their exceptions is rethrown after that.
+  virtual void run(index_t count, SliceBody body) = 0;
+
+ protected:
+  ~SliceRunner() = default;
+};
+
+/// Column slices a panel step with an nt x nt trailing block and kb
+/// pivots is cut into for a runner of `width` threads: 1 (not split) when
+/// the step's trailing update is below the split floor, else
+/// min(width * slices-per-thread, nt / 4 rounded up).
+index_t trailing_slices(index_t nt, index_t kb, index_t width);
+
 /// C(0:m,0:n) -= A(0:m,0:kb) * B(0:kb,0:n), all column-major with leading
 /// dimensions lda/ldb/ldc. Cache-tiled with a register-blocked microkernel;
 /// per-element update order is increasing k (see header comment).
@@ -61,12 +108,16 @@ void schur_update(index_t m, index_t n, index_t kb, const double* a,
                   index_t ldc);
 
 /// Blocked right-looking partial LU with row pivoting among the
-/// fully-summed rows. Semantics (and bits) of partial_lu_reference.
-PartialFactorResult partial_lu_blocked(FrontView front, index_t npiv);
+/// fully-summed rows. Semantics (and bits) of partial_lu_reference, with
+/// or without a slice runner (null = every step on the calling thread).
+PartialFactorResult partial_lu_blocked(FrontView front, index_t npiv,
+                                       SliceRunner* slices = nullptr);
 
 /// Blocked partial LDLt (no pivoting, full-square storage kept numerically
-/// symmetric). Semantics (and bits) of partial_ldlt_reference.
-PartialFactorResult partial_ldlt_blocked(FrontView front, index_t npiv);
+/// symmetric). Semantics (and bits) of partial_ldlt_reference, with or
+/// without a slice runner.
+PartialFactorResult partial_ldlt_blocked(FrontView front, index_t npiv,
+                                         SliceRunner* slices = nullptr);
 
 /// The pre-blocking scalar kernels, verbatim: the bit-exactness baseline
 /// of tests/numeric_kernels_test.cpp and the "before" side of

@@ -262,6 +262,14 @@ void record_parallel_numeric_stats(const ParallelNumericStats& stats,
       .add(static_cast<std::int64_t>(stats.sched.admit_consults));
   m.counter("solver.sched.idle_ns")
       .add(static_cast<std::int64_t>(stats.sched.idle_ns));
+  // Intra-front parallelism (solver/slice_hub): fronts whose kernel
+  // forked, slices idle workers ran for them, and the masters' joins.
+  m.counter("solver.sched.split_fronts")
+      .add(static_cast<std::int64_t>(stats.sched.split_fronts));
+  m.counter("solver.sched.helper_slices")
+      .add(static_cast<std::int64_t>(stats.sched.helper_slices));
+  m.counter("solver.sched.slice_wait_ns")
+      .add(static_cast<std::int64_t>(stats.sched.slice_wait_ns));
   m.gauge("solver.sched.max_queue_depth")
       .max_of(static_cast<std::int64_t>(stats.sched.max_queue_depth));
   m.gauge("solver.sched.steal_arena_bound_doubles")

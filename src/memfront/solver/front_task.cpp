@@ -8,6 +8,7 @@
 #include "memfront/frontal/extend_add.hpp"
 #include "memfront/obs/metrics.hpp"
 #include "memfront/obs/span_tracer.hpp"
+#include "memfront/solver/slice_hub.hpp"
 #include "memfront/support/error.hpp"
 #include "memfront/support/fault.hpp"
 #include "memfront/support/status.hpp"
@@ -109,12 +110,22 @@ FrontResult process_front(const FrontContext& ctx, index_t i,
   PartialFactorResult pf;
   {
     MEMFRONT_SPAN("kernel", i);
-    pf = sym ? (ctx.kernel == FrontalKernel::kBlocked
-                    ? partial_ldlt_blocked(front, npiv)
-                    : partial_ldlt_reference(front, npiv))
-             : (ctx.kernel == FrontalKernel::kBlocked
-                    ? partial_lu_blocked(front, npiv)
-                    : partial_lu_reference(front, npiv));
+    if (ctx.kernel == FrontalKernel::kBlocked) {
+      // Helpers stay with this front until the bracket closes — also
+      // when the kernel throws, after its last fork has joined.
+      struct Bracket {
+        FrontSlicer* slicer;
+        ~Bracket() {
+          if (slicer) slicer->end_front();
+        }
+      } bracket{ctx.slicer};
+      if (ctx.slicer) ctx.slicer->begin_front(i);
+      pf = sym ? partial_ldlt_blocked(front, npiv, ctx.slicer)
+               : partial_lu_blocked(front, npiv, ctx.slicer);
+    } else {
+      pf = sym ? partial_ldlt_reference(front, npiv)
+               : partial_lu_reference(front, npiv);
+    }
   }
   // Non-finite pivots mean the factorization is numerically dead from
   // this node on (every descendant of a NaN pivot is NaN): O(npiv) scan,

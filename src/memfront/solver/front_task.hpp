@@ -16,9 +16,14 @@
 
 #include "memfront/solver/numeric_factor.hpp"
 
+namespace memfront {
+class FrontSlicer;
+}
+
 namespace memfront::numeric_detail {
 
-/// Immutable, shareable inputs of every node task.
+/// Inputs of every node task: immutable and shareable, except `slicer`,
+/// which each worker sets to its own.
 struct FrontContext {
   const AssemblyTree* tree = nullptr;
   const FrontalStructure* structure = nullptr;
@@ -26,6 +31,10 @@ struct FrontContext {
   const CscMatrix* at = nullptr;  // its transpose (unsymmetric only)
   bool symmetric = false;
   FrontalKernel kernel = FrontalKernel::kBlocked;
+  /// The calling worker's slice runner (solver/slice_hub): the blocked
+  /// kernels fork big panel steps through it so idle workers can help.
+  /// Null = every front on the calling thread alone.
+  FrontSlicer* slicer = nullptr;
 };
 
 /// Per-worker reusable buffers (never shared between threads).

@@ -79,8 +79,8 @@ struct Runtime {
 
 /// Runs one whole subtree on the calling worker with its private arena.
 /// Statistics accumulate locally and flush under one lock at the end.
-void run_subtree(Runtime& rt, index_t s, unsigned w, FrontWorkspace& ws,
-                 FrontalArena& arena, count_t& arena_peak,
+void run_subtree(Runtime& rt, const FrontContext& ctx, index_t s, unsigned w,
+                 FrontWorkspace& ws, FrontalArena& arena, count_t& arena_peak,
                  std::vector<const double*>& child_cbs) {
   const AssemblyTree& tree = rt.tree();
   const index_t root = rt.subtrees.roots[static_cast<std::size_t>(s)];
@@ -120,14 +120,14 @@ void run_subtree(Runtime& rt, index_t s, unsigned w, FrontWorkspace& ws,
                 positions);
           }};
       fr = numeric_detail::process_front(
-          rt.ctx, i, stream, ws, front,
+          ctx, i, stream, ws, front,
           rt.fact->nodes[static_cast<std::size_t>(i)], rt.fact->row_of);
     } else {
       child_cbs.clear();
       for (index_t child : children)
         child_cbs.push_back(rt.cb_arena[static_cast<std::size_t>(child)]);
       fr = numeric_detail::process_front(
-          rt.ctx, i, child_cbs, ws, front,
+          ctx, i, child_cbs, ws, front,
           rt.fact->nodes[static_cast<std::size_t>(i)], rt.fact->row_of);
     }
     acc.perturbations += fr.perturbations;
@@ -173,8 +173,8 @@ void run_subtree(Runtime& rt, index_t s, unsigned w, FrontWorkspace& ws,
 
 /// Runs one upper-part node task (children are subtree roots or other
 /// upper nodes; all CBs live on the heap).
-void run_upper(Runtime& rt, index_t i, unsigned w, FrontWorkspace& ws,
-               std::vector<const double*>& child_cbs) {
+void run_upper(Runtime& rt, const FrontContext& ctx, index_t i, unsigned w,
+               FrontWorkspace& ws, std::vector<const double*>& child_cbs) {
   MEMFRONT_SPAN("upper_front", i);
   const AssemblyTree& tree = rt.tree();
   const index_t npiv = tree.npiv(i);
@@ -193,14 +193,14 @@ void run_upper(Runtime& rt, index_t i, unsigned w, FrontWorkspace& ws,
               c + 1 < children.size() ? children[c + 1] : kNone, f, positions);
         }};
     fr = numeric_detail::process_front(
-        rt.ctx, i, stream, ws, front,
+        ctx, i, stream, ws, front,
         rt.fact->nodes[static_cast<std::size_t>(i)], rt.fact->row_of);
   } else {
     child_cbs.clear();
     for (index_t child : children)
       child_cbs.push_back(rt.cb_heap[static_cast<std::size_t>(child)].data());
     fr = numeric_detail::process_front(
-        rt.ctx, i, child_cbs, ws, front,
+        ctx, i, child_cbs, ws, front,
         rt.fact->nodes[static_cast<std::size_t>(i)], rt.fact->row_of);
   }
 
@@ -235,13 +235,17 @@ void worker_loop(Runtime& rt, unsigned w) {
     FrontalArena arena;
     count_t arena_peak = 0;
     std::vector<const double*> child_cbs;
+    // This worker's fronts fork their big panel steps through its own
+    // slicer, so idle workers can join them.
+    FrontContext ctx = rt.ctx;
+    ctx.slicer = rt.sched->slicer(w);
 
     NumericScheduler::Task task;
     while (rt.sched->next_task(w, task)) {
       if (task.kind == NumericScheduler::Task::Kind::kSubtree)
-        run_subtree(rt, task.id, w, ws, arena, arena_peak, child_cbs);
+        run_subtree(rt, ctx, task.id, w, ws, arena, arena_peak, child_cbs);
       else
-        run_upper(rt, task.id, w, ws, child_cbs);
+        run_upper(rt, ctx, task.id, w, ws, child_cbs);
       rt.sched->complete(w, task);
     }
 

@@ -137,7 +137,12 @@ NumericScheduler::NumericScheduler(
             }(),
             workers),
       ooc_budget_(ooc_budget_doubles),
-      t0_(std::chrono::steady_clock::now()) {
+      t0_(std::chrono::steady_clock::now()),
+      hub_(workers, [this] {
+        // A front became joinable: sleepers come and help.
+        std::lock_guard<std::mutex> lock(mu_);
+        if (waiting_ > 0) notify_all_locked();
+      }) {
   steal_bound_ =
       predict_steal_arena_bound(tree, subtrees, subtree_nodes, upper_nodes);
   subtree_flops_ = subtrees.flops;
@@ -220,7 +225,14 @@ void NumericScheduler::refresh_announced_locked(double now) {
   }
 }
 
+void NumericScheduler::bump_task_gen_locked() {
+  task_gen_.store(task_gen_.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+  hub_.wake();
+}
+
 void NumericScheduler::push_task_locked(unsigned w, const Task& t) {
+  bump_task_gen_locked();
   deques_[w].push_back(t);
   host_.workers_[w].queued_flops += task_flops(t);
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, deques_[w].size());
@@ -398,6 +410,17 @@ bool NumericScheduler::next_task(unsigned w, Task& out) {
     if (options_.steal ? try_steal_locked(w, now_locked())
                        : try_adopt_locked(w))
       continue;
+    if (hub_.joinable(w)) {
+      // No tree task for w: help a big front instead of sleeping, until
+      // a task is pushed somewhere (it may be one w can take).
+      const std::uint64_t gen = task_gen_.load(std::memory_order_relaxed);
+      lock.unlock();
+      hub_.help(w, [&] {
+        return task_gen_.load(std::memory_order_relaxed) != gen;
+      });
+      lock.lock();
+      continue;
+    }
     ++waiting_;
     const auto idle_t0 = std::chrono::steady_clock::now();
     cv_.wait_for(lock, kIdleTick);
@@ -426,10 +449,12 @@ void NumericScheduler::complete(unsigned w, const Task& task) {
       --deps_[static_cast<std::size_t>(parent)] == 0) {
     // The parent (always an upper node) became ready: locality says it
     // lands on the completing worker's deque; idle workers steal it.
-    if (options_.steal)
+    if (options_.steal) {
       push_task_locked(w, Task{Task::Kind::kUpper, parent});
-    else
+    } else {
+      bump_task_gen_locked();
       shared_ready_.push_back(parent);
+    }
     readied = true;
   }
   --remaining_;
@@ -445,7 +470,17 @@ void NumericScheduler::complete(unsigned w, const Task& task) {
 void NumericScheduler::fail() {
   std::lock_guard<std::mutex> lock(mu_);
   failed_ = true;
+  bump_task_gen_locked();
   if (waiting_ > 0) notify_all_locked();
+}
+
+SchedStats NumericScheduler::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  SchedStats out = stats_;
+  out.split_fronts = hub_.split_fronts();
+  out.helper_slices = hub_.helper_slices();
+  out.slice_wait_ns = hub_.slice_wait_ns();
+  return out;
 }
 
 bool NumericScheduler::failed() const {

@@ -33,6 +33,13 @@
 // Completions use targeted wakeups: a sleeper is notified only when a
 // task became stealable/ready or the run drained or failed, never on
 // every completion.
+//
+// Intra-front parallelism: the scheduler also hosts the workers'
+// SliceHub (solver/slice_hub). A worker that finds no tree task — none
+// of its own, none to steal — joins an open big front and runs column
+// slices of its trailing updates instead of sleeping. Ready tree tasks
+// come first: the helper leaves as soon as a task is pushed anywhere,
+// and returns to dispatch.
 #pragma once
 
 #include <atomic>
@@ -45,6 +52,7 @@
 #include <vector>
 
 #include "memfront/core/policy.hpp"
+#include "memfront/solver/slice_hub.hpp"
 #include "memfront/symbolic/subtrees.hpp"
 
 namespace memfront {
@@ -79,6 +87,9 @@ struct SchedStats {
   std::uint64_t admit_consults = 0;     ///< SchedulerPolicy::admit
   std::uint64_t idle_ns = 0;            ///< summed worker wait time
   std::size_t max_queue_depth = 0;      ///< deepest single deque seen
+  std::uint64_t split_fronts = 0;       ///< fronts whose kernel forked
+  std::uint64_t helper_slices = 0;      ///< slices run by helpers
+  std::uint64_t slice_wait_ns = 0;      ///< masters' summed join wait
 };
 
 /// Splits a traversal into per-subtree postorder node lists (indexed by
@@ -205,7 +216,13 @@ class NumericScheduler {
   /// (relaxed snapshot; advisory only).
   bool would_admit_now(count_t need) const;
 
-  const SchedStats& stats() const { return stats_; }
+  /// Worker w's slice runner for the kernels of the fronts it runs;
+  /// null with a single worker (nobody could help).
+  FrontSlicer* slicer(unsigned w) {
+    return deques_.size() > 1 ? &hub_.slicer(w) : nullptr;
+  }
+
+  SchedStats stats() const;
   const char* policy_name() const { return policy_->name(); }
   count_t steal_arena_bound_doubles() const { return steal_bound_; }
 
@@ -226,6 +243,8 @@ class NumericScheduler {
   bool try_adopt_locked(unsigned w);
   void notify_one_locked();
   void notify_all_locked();
+  /// A task was pushed or the run failed: helpers return to dispatch.
+  void bump_task_gen_locked();
 
   const AssemblyTree& tree_;
   const Subtrees& subtrees_;
@@ -256,6 +275,10 @@ class NumericScheduler {
   std::atomic<count_t> ooc_charged_total_{0};
   SchedStats stats_;
   std::chrono::steady_clock::time_point t0_;
+  /// Bumped under mu_ whenever a task is pushed or the run fails; a
+  /// helper leaves its front when it moves.
+  std::atomic<std::uint64_t> task_gen_{0};
+  SliceHub hub_;
 
   /// Per-dispatch scratch (under mu_): the pool the policy sees and the
   /// mapping back to deque/shared positions.

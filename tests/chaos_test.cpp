@@ -39,7 +39,8 @@ fault::Plan chaos_plan(std::uint64_t seed) {
           .overrides = {{"front.assemble_nan", 101},
                         {"arena.slab_alloc", 5},
                         {"worker.subtree_exception", 7},
-                        {"worker.solve_exception", 7}}};
+                        {"worker.solve_exception", 7},
+                        {"front.slice_exception", 3}}};
 }
 
 struct RunResult {
@@ -177,6 +178,80 @@ std::vector<ChaosCase> chaos_cases() {
 
 INSTANTIATE_TEST_SUITE_P(
     Table1, ChaosHarness, ::testing::ValuesIn(chaos_cases()),
+    [](const auto& info) {
+      return problem_name(info.param.id) +
+             std::string(info.param.ldlt ? "_LDLT" : "_LU") + "_w" +
+             std::to_string(info.param.workers);
+    });
+
+// Intra-front parallelism under chaos: on problems whose big fronts
+// split their panel steps across workers, a slice dying inside a split
+// front must surface as exactly one structured error — the master must
+// not hang at its join, nor free the front while helpers still write —
+// and every schedule that does not fire stays bit-identical.
+struct SplitChaosCase {
+  ProblemId id;
+  bool ldlt;
+  unsigned workers;
+};
+
+class SplitFrontChaos : public ::testing::TestWithParam<SplitChaosCase> {};
+
+TEST_P(SplitFrontChaos, SliceFailuresAreStructuredOrBitIdentical) {
+  const auto [pid, ldlt, workers] = GetParam();
+  const Problem p = make_problem(pid, 0.3);
+  AnalysisOptions opt;
+  opt.ordering = OrderingKind::kNestedDissection;
+  opt.symmetric = ldlt;
+  const Analysis analysis = analyze(p.matrix, opt);
+  std::vector<double> b(static_cast<std::size_t>(p.matrix.nrows()), 1.0);
+  const RunResult baseline = run_once(analysis, b, workers);
+  ASSERT_EQ(baseline.code, ErrorCode::kOk);
+
+  // Every split front fails: one structured error per run.
+  {
+    fault::ScopedPlan scoped(
+        {.seed = 0, .period = 0, .overrides = {{"front.slice_exception", 1}}});
+    const RunResult run = run_once(analysis, b, workers);
+    EXPECT_EQ(run.code, ErrorCode::kWorkerFailure)
+        << error_code_name(run.code);
+    EXPECT_GE(fault::Registry::global().injected_count(), 1);
+  }
+
+  int clean = 0, failed = 0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    const std::string label = problem_name(pid) + " seed " +
+                              std::to_string(seed) + " workers " +
+                              std::to_string(workers);
+    RunResult run;
+    {
+      fault::ScopedPlan scoped({.seed = seed,
+                                .period = 0,
+                                .overrides = {{"front.slice_exception", 3}}});
+      run = run_once(analysis, b, workers, seed);
+    }
+    if (run.code == ErrorCode::kOk) {
+      ++clean;
+      expect_bitwise_identical(run, baseline, label);
+    } else {
+      ++failed;
+      EXPECT_EQ(run.code, ErrorCode::kWorkerFailure)
+          << label << ": " << error_code_name(run.code);
+    }
+  }
+  EXPECT_GT(failed, 0) << "no schedule ever fired in a split front";
+  EXPECT_GT(clean, 0) << "every schedule fired: nothing left to compare";
+  const RunResult after = run_once(analysis, b, workers);
+  ASSERT_EQ(after.code, ErrorCode::kOk);
+  expect_bitwise_identical(after, baseline, "post-sweep rerun");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BigFronts, SplitFrontChaos,
+    ::testing::Values(SplitChaosCase{ProblemId::kTwotone, false, 2},
+                      SplitChaosCase{ProblemId::kTwotone, false, 4},
+                      SplitChaosCase{ProblemId::kTwotone, false, 8},
+                      SplitChaosCase{ProblemId::kGupta3, true, 4}),
     [](const auto& info) {
       return problem_name(info.param.id) +
              std::string(info.param.ldlt ? "_LDLT" : "_LU") + "_w" +

@@ -1,17 +1,23 @@
 // Blocked frontal kernels vs the pre-blocking scalar references: the
 // blocked panel/TRSM/GEMM pipeline must reproduce the scalar kernels bit
-// for bit (pivot sequences AND every stored value), the signbit
-// perturbation fix, the mapped extend-add scatter, and the arena's LIFO
-// discipline.
+// for bit (pivot sequences AND every stored value) — also when its panel
+// steps are cut into column slices and run out of order or concurrently
+// (intra-front parallelism) — the signbit perturbation fix, the mapped
+// extend-add scatter, and the arena's LIFO discipline.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "memfront/frontal/arena.hpp"
 #include "memfront/frontal/extend_add.hpp"
 #include "memfront/frontal/kernels.hpp"
+#include "memfront/solver/slice_hub.hpp"
 #include "memfront/support/rng.hpp"
 
 namespace memfront {
@@ -116,6 +122,178 @@ TEST(NumericKernels, BlockedLdltBitIdenticalToReference) {
   check_ldlt_bitwise(96, 50, 25);
   check_ldlt_bitwise(131, 131, 26);
   check_ldlt_bitwise(190, 95, 27);
+}
+
+/// Runs a step's slices last to first on the calling thread: a slice
+/// that depended on another, or on the order, would change bits.
+class ReverseRunner final : public SliceRunner {
+ public:
+  explicit ReverseRunner(index_t width) : width_(width) {}
+  index_t width() const override { return width_; }
+  void run(index_t count, SliceBody body) override {
+    ++steps;
+    for (index_t s = count; s-- > 0;) body(s);
+  }
+  index_t steps = 0;
+
+ private:
+  index_t width_;
+};
+
+/// Runs every slice of a step on its own thread, all at once.
+class ThreadPerSliceRunner final : public SliceRunner {
+ public:
+  explicit ThreadPerSliceRunner(index_t width) : width_(width) {}
+  index_t width() const override { return width_; }
+  void run(index_t count, SliceBody body) override {
+    std::vector<std::thread> threads;
+    for (index_t s = 0; s < count; ++s)
+      threads.emplace_back([&body, s] { body(s); });
+    for (std::thread& t : threads) t.join();
+  }
+
+ private:
+  index_t width_;
+};
+
+/// The sliced kernel (reverse order and thread-per-slice) against the
+/// unsliced kernel and the scalar reference, bit for bit. Returns the
+/// number of panel steps that were split.
+index_t check_sliced_bitwise(index_t n, index_t npiv, std::uint64_t seed,
+                             bool ldlt, bool dominant, index_t width) {
+  const std::vector<double> original =
+      ldlt ? random_symmetric(n, seed) : random_front(n, seed, dominant);
+  const auto factor = [&](std::vector<double>& data, SliceRunner* slices) {
+    return ldlt ? partial_ldlt_blocked(FrontView{data.data(), n, n}, npiv,
+                                       slices)
+                : partial_lu_blocked(FrontView{data.data(), n, n}, npiv,
+                                     slices);
+  };
+  std::vector<double> unsliced = original;
+  const PartialFactorResult ur = factor(unsliced, nullptr);
+  std::vector<double> reference = original;
+  const PartialFactorResult rr =
+      ldlt ? partial_ldlt_reference(FrontView{reference.data(), n, n}, npiv)
+           : partial_lu_reference(FrontView{reference.data(), n, n}, npiv);
+  expect_bitwise_equal(unsliced, reference, n, "unsliced vs reference");
+  EXPECT_EQ(ur.pivot_rows, rr.pivot_rows);
+
+  ReverseRunner reverse(width);
+  std::vector<double> reversed = original;
+  const PartialFactorResult vr = factor(reversed, &reverse);
+  EXPECT_EQ(vr.pivot_rows, ur.pivot_rows);
+  EXPECT_EQ(vr.perturbations, ur.perturbations);
+  expect_bitwise_equal(reversed, unsliced, n, "reverse-order slices");
+
+  ThreadPerSliceRunner threaded(width);
+  std::vector<double> concurrent = original;
+  const PartialFactorResult tr = factor(concurrent, &threaded);
+  EXPECT_EQ(tr.pivot_rows, ur.pivot_rows);
+  expect_bitwise_equal(concurrent, unsliced, n, "concurrent slices");
+  return reverse.steps;
+}
+
+TEST(NumericKernels, TrailingSlicesFloorAndRaggedCounts) {
+  // Below the floor nothing splits, whatever the width.
+  EXPECT_EQ(trailing_slices(100, 48, 8), 1);
+  EXPECT_EQ(trailing_slices(299, 48, 4), 1);
+  EXPECT_EQ(trailing_slices(1000, 1, 4), 1);
+  // Above it: slices per thread, capped by the 4-column units (361
+  // columns are 91 units, the last one ragged).
+  EXPECT_EQ(trailing_slices(1000, 48, 3), 12);
+  EXPECT_EQ(trailing_slices(1000, 48, 1), 4);
+  EXPECT_EQ(trailing_slices(361, 48, 64), 91);
+}
+
+TEST(NumericKernels, SlicedLuBitIdenticalUnderHeavyPivoting) {
+  // 300 never reaches the split floor; 613 and 901 split their early
+  // steps and not their late ones. Column counts that are not multiples
+  // of 4 and widths 1/3/5 leave ragged last ranges.
+  for (const index_t width : {1, 3, 5}) {
+    EXPECT_EQ(check_sliced_bitwise(300, 300, 31, false, false, width), 0);
+    EXPECT_GT(check_sliced_bitwise(613, 500, 32, false, false, width), 0);
+  }
+  EXPECT_GT(check_sliced_bitwise(901, 901, 33, false, false, 2), 0);
+  EXPECT_GT(check_sliced_bitwise(613, 613, 34, false, true, 4), 0);
+}
+
+TEST(NumericKernels, SlicedLdltBitIdentical) {
+  for (const index_t width : {1, 3, 5}) {
+    EXPECT_EQ(check_sliced_bitwise(299, 150, 41, true, true, width), 0);
+    EXPECT_GT(check_sliced_bitwise(613, 613, 42, true, true, width), 0);
+  }
+  EXPECT_GT(check_sliced_bitwise(750, 401, 43, true, true, 2), 0);
+}
+
+/// Master + helper threads through a SliceHub: helpers loop on help()
+/// until `stop`.
+struct HubHarness {
+  SliceHub hub;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> helpers;
+
+  explicit HubHarness(unsigned workers) : hub(workers) {
+    for (unsigned w = 1; w < workers; ++w)
+      helpers.emplace_back([this, w] {
+        while (!stop.load()) {
+          if (hub.joinable(w))
+            hub.help(w, [this] { return stop.load(); });
+          else
+            std::this_thread::yield();
+        }
+      });
+  }
+  ~HubHarness() {
+    stop.store(true);
+    hub.wake();
+    for (std::thread& t : helpers) t.join();
+  }
+};
+
+TEST(SliceHubTest, HelpersFactorInPlaceBitIdentical) {
+  const index_t n = 613;
+  const std::vector<double> original = random_front(n, 51, false);
+  std::vector<double> unsliced = original;
+  (void)partial_lu_blocked(FrontView{unsliced.data(), n, n}, n);
+
+  HubHarness h(4);
+  FrontSlicer& slicer = h.hub.slicer(0);
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<double> split = original;
+    slicer.begin_front(rep);
+    (void)partial_lu_blocked(FrontView{split.data(), n, n}, n, &slicer);
+    slicer.end_front();
+    expect_bitwise_equal(split, unsliced, n, "hub-split LU");
+  }
+  EXPECT_EQ(h.hub.split_fronts(), 3u);
+}
+
+TEST(SliceHubTest, SliceExceptionRethrownOnceAfterEverySliceFinished) {
+  HubHarness h(4);
+  FrontSlicer& slicer = h.hub.slicer(0);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> ran{0};
+  const auto body = [&](index_t s) {
+    in_flight.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    ran.fetch_add(1);
+    in_flight.fetch_sub(1);
+    if (s == 5) throw std::runtime_error("slice 5");
+  };
+  slicer.begin_front(7);
+  EXPECT_THROW(slicer.run(16, SliceBody(body)), std::runtime_error);
+  slicer.end_front();
+  // The master returned only after every claimed slice came back; the
+  // failing slice itself ran, slices claimed after the failure did not.
+  EXPECT_EQ(in_flight.load(), 0);
+  EXPECT_GE(ran.load(), 1);
+  // The slicer is reusable: the next step runs every slice.
+  ran.store(0);
+  const auto ok = [&](index_t) { ran.fetch_add(1); };
+  slicer.begin_front(8);
+  slicer.run(16, SliceBody(ok));
+  slicer.end_front();
+  EXPECT_EQ(ran.load(), 16);
 }
 
 TEST(NumericKernels, SchurUpdateMatchesScalarRankUpdates) {

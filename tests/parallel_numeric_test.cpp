@@ -8,7 +8,9 @@
 //       assignment (and in fact bit-identical to the serial driver),
 // plus the arena-peak guarantees: the serial physical peak equals the
 // predictor, and no parallel worker's private arena ever exceeds the
-// predicted sequential peak.
+// predicted sequential peak — and intra-front parallelism: big fronts
+// whose panel steps idle workers split stay bit-identical to serial
+// under every worker count, scheduling mode and the out-of-core path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -231,6 +233,71 @@ TEST(ParallelNumeric, SplitTreeParallelSolves) {
                                       "split tree");
   EXPECT_LT(backward_error(p.matrix, analysis, parallel), 1e-8);
 }
+
+// The GUPTA3 and TWOTONE analogues at a scale where their largest front
+// (502 and 827) splits its early panel steps: every worker count x steal
+// on/off x policy, and the out-of-core path at 0.8x the in-core peak,
+// must reproduce the serial factors bit for bit.
+class SplitFronts : public ::testing::TestWithParam<ProblemId> {};
+
+TEST_P(SplitFronts, BitIdenticalToSerialInEveryMode) {
+  const Problem p = make_problem(GetParam(), 0.3);
+  AnalysisOptions opt;
+  opt.ordering = OrderingKind::kNestedDissection;
+  opt.symmetric = p.symmetric;
+  const Analysis analysis = analyze(p.matrix, opt);
+  const Factorization serial = numeric_factorize(analysis);
+
+  for (unsigned workers : {1u, 2u, 4u, 8u})
+    for (bool steal : {true, false})
+      for (RealPolicy policy : {RealPolicy::kWorkload, RealPolicy::kMemory}) {
+        const std::string label = "workers=" + std::to_string(workers) +
+                                  " steal=" + std::to_string(steal) + " " +
+                                  real_policy_name(policy);
+        ParallelNumericOptions popt;
+        popt.nthreads = workers;
+        popt.nprocs = 4;
+        popt.sched.steal = steal;
+        popt.sched.policy = policy;
+        ParallelNumericStats pstats;
+        const Factorization parallel =
+            parallel_numeric_factorize(analysis, popt, &pstats);
+        expect_factorizations_bitwise_equal(serial, parallel, label);
+        // Whether a front splits depends on its size and the worker
+        // count only; with one worker nobody could help.
+        if (workers == 1)
+          EXPECT_EQ(pstats.sched.split_fronts, 0u) << label;
+        else
+          EXPECT_GT(pstats.sched.split_fronts, 0u) << label;
+      }
+
+#if MEMFRONT_OOC_REAL
+  for (unsigned workers : {2u, 4u}) {
+    ParallelNumericOptions popt;
+    popt.nthreads = workers;
+    popt.nprocs = 4;
+    popt.ooc.enabled = true;
+    popt.ooc.budget_doubles = serial.stats.arena_peak_doubles * 8 / 10;
+    ASSERT_GE(popt.ooc.budget_doubles,
+              predict_min_ooc_budget(analysis.tree, analysis.traversal));
+    ParallelNumericStats pstats;
+    const Factorization ooc =
+        parallel_numeric_factorize(analysis, popt, &pstats);
+    EXPECT_GT(pstats.sched.split_fronts, 0u);
+    EXPECT_LE(ooc.stats.ooc.charged_peak_doubles, popt.ooc.budget_doubles);
+    ensure_factors_resident(ooc);
+    expect_factorizations_bitwise_equal(
+        serial, ooc, "ooc 0.8x workers=" + std::to_string(workers));
+  }
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(BigFronts, SplitFronts,
+                         ::testing::Values(ProblemId::kGupta3,
+                                           ProblemId::kTwotone),
+                         [](const auto& info) {
+                           return problem_name(info.param);
+                         });
 
 TEST(ParallelNumeric, ReferenceKernelsAlsoAvailable) {
   const Problem p = make_problem(ProblemId::kMsdoor, 0.14);
