@@ -14,6 +14,10 @@ struct NdOptions {
   std::uint64_t seed = 0;
 };
 
+/// Orders `g`. Large subgraphs have the two halves of their bisection
+/// ordered concurrently, with at most default_thread_count() ordering
+/// threads alive under one call (MEMFRONT_THREADS=1 runs it serially);
+/// the order is bit-identical at every thread count.
 std::vector<index_t> nested_dissection(const Graph& g, const NdOptions& opt);
 
 }  // namespace memfront

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "memfront/obs/span_tracer.hpp"
 #include "memfront/support/error.hpp"
 
 namespace memfront {
@@ -65,13 +66,20 @@ Analysis analyze(const CscMatrix& a, const AnalysisOptions& options) {
   require(a.nrows() == a.ncols(), "analyze: matrix must be square");
   require(!a.has_nonfinite_values(), "analyze: matrix contains NaN/Inf values");
   const Graph adjacency = Graph::from_matrix(a);
-  const std::vector<index_t> order =
-      compute_ordering(adjacency, options.ordering, options.seed);
+  const std::vector<index_t> order = [&] {
+    // Nested dissection may fork ordering threads below this span; each
+    // records its own ordering.subtree spans.
+    MEMFRONT_SPAN("analyze.ordering");
+    return compute_ordering(adjacency, options.ordering, options.seed);
+  }();
   const auto t_ordered = Clock::now();
 
   SymbolicOptions sym = options.symbolic;
   sym.symmetric = options.symmetric;
-  SymbolicResult symbolic = build_assembly_tree(adjacency, order, sym);
+  SymbolicResult symbolic = [&] {
+    MEMFRONT_SPAN("analyze.symbolic");
+    return build_assembly_tree(adjacency, order, sym);
+  }();
   const auto t_symbolic = Clock::now();
 
   Analysis analysis;

@@ -96,6 +96,24 @@ void forward_node(const SolveContext& ctx, index_t i,
     }
   }
 
+  // LU row interchanges: the factorization swapped this front's pivot
+  // rows after the children's blocks were assembled, so the RHS rows
+  // follow the same swaps here, after extend-add. row_of[fc, fc+npiv)
+  // is a permutation of [fc, fc+npiv) (pivots are searched among the
+  // fully-summed rows only); identity for LDLᵀ and for fronts that
+  // never swapped.
+  const index_t* rof = ctx.fact->row_of.data() + fc;
+  index_t first_swap = 0;
+  while (first_swap < npiv && rof[first_swap] == fc + first_swap) ++first_swap;
+  if (first_swap < npiv) {
+    double* tmp = s.swap.data();
+    for (index_t c = 0; c < k; ++c) {
+      double* fcol = F + off(c, nfront);
+      std::memcpy(tmp, fcol, sz(npiv) * sizeof(double));
+      for (index_t j = first_swap; j < npiv; ++j) fcol[j] = tmp[rof[j] - fc];
+    }
+  }
+
   // Eliminate. The scalar loop and the kernel pair apply the same
   // per-element update chains (products in increasing pivot order, the
   // multiplier read after its own row finished) — bit-identical.
@@ -487,13 +505,13 @@ void run_solve(const Analysis& analysis, const Factorization& fact,
   ctx.k = nrhs;
   ctx.scalar = scalar;
 
-  // Permute the rhs into elimination order, composed with the pivoting
-  // row permutation picked up during factorization.
+  // Permute the rhs into elimination order. The pivoting row
+  // interchanges are per front and applied by forward_node after each
+  // front's extend-add, where the factorization applied them.
   for (index_t c = 0; c < nrhs; ++c) {
     double* ycol = ws.y.data() + off(c, n);
     const double* bcol = b.data() + off(c, n);
-    for (index_t kk = 0; kk < n; ++kk)
-      ycol[kk] = bcol[analysis.perm[sz(fact.row_of[sz(kk)])]];
+    for (index_t kk = 0; kk < n; ++kk) ycol[kk] = bcol[analysis.perm[sz(kk)]];
   }
 
   if (workers <= 1) {
@@ -618,6 +636,7 @@ void SolveWorkspace::bind(const SolveGraph& graph, index_t n, index_t nrhs,
     s.front.resize(off(graph.max_nfront, nrhs));
     s.gather.resize(off(graph.max_ncb, nrhs));
     s.pos.resize(sz(graph.max_ncb));
+    s.swap.resize(sz(graph.max_nfront));
   }
 }
 

@@ -99,6 +99,7 @@ struct SolveWorkspace {
     std::vector<double> front;   // max_nfront x nrhs front RHS panel
     std::vector<double> gather;  // max_ncb x nrhs backward gather buffer
     std::vector<index_t> pos;    // extend-add row positions
+    std::vector<double> swap;    // max_nfront: one RHS column's pivot rows
   };
 
   std::vector<double> y;   // n x nrhs, elimination order

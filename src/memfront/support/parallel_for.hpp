@@ -37,6 +37,16 @@ inline unsigned default_thread_count() {
   return hw > 0 ? hw : 1;
 }
 
+namespace detail {
+/// Multi-worker parallel_for bodies the calling thread is inside.
+inline thread_local unsigned parallel_body_depth = 0;
+}  // namespace detail
+
+/// True while the calling thread runs a body of a multi-worker
+/// parallel_for: the enclosing loop already spreads its work over the
+/// workers, so nested work should not fork more threads.
+inline bool in_parallel_body() { return detail::parallel_body_depth > 0; }
+
 /// Runs fn(i) for every i in [0, n), distributing indices over
 /// min(n, nthreads) threads (nthreads = 0 means default_thread_count()).
 /// With one worker the calls run inline on the caller's thread, in order.
@@ -57,6 +67,10 @@ void parallel_for(std::size_t n, Fn&& fn, unsigned nthreads = 0) {
   std::exception_ptr first_error;
   std::mutex error_mutex;
   auto body = [&] {
+    struct Depth {
+      Depth() { ++detail::parallel_body_depth; }
+      ~Depth() { --detail::parallel_body_depth; }
+    } depth;
     for (;;) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= n || failed.load(std::memory_order_relaxed)) return;

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <tuple>
 
+#include "memfront/obs/metrics.hpp"
 #include "memfront/ordering/bisection.hpp"
 #include "memfront/sparse/coo.hpp"
 #include "memfront/ordering/ordering.hpp"
 #include "memfront/ordering/quotient_graph.hpp"
 #include "memfront/sparse/generators.hpp"
 #include "memfront/sparse/permutation.hpp"
+#include "memfront/sparse/problems.hpp"
+#include "memfront/support/parallel_for.hpp"
 #include "memfront/symbolic/col_counts.hpp"
 #include "memfront/symbolic/etree.hpp"
 
@@ -214,6 +220,115 @@ TEST(Bisection, DisconnectedSplitsWithoutSeparator) {
   EXPECT_TRUE(cut.separator.empty());
   EXPECT_EQ(cut.part_a.size(), 10u);
   EXPECT_EQ(cut.part_b.size(), 10u);
+}
+
+// ---- parallel nested dissection ------------------------------------------
+
+/// Sets MEMFRONT_THREADS (the ordering's thread budget) for a scope.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(unsigned n) {
+    if (const char* old = std::getenv("MEMFRONT_THREADS")) saved_ = old;
+    setenv("MEMFRONT_THREADS", std::to_string(n).c_str(), 1);
+  }
+  ~ScopedThreads() {
+    if (saved_)
+      setenv("MEMFRONT_THREADS", saved_->c_str(), 1);
+    else
+      unsetenv("MEMFRONT_THREADS");
+  }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+/// Two disjoint 100x100 grids: the top bisection splits them with an
+/// empty separator.
+Graph two_grids() {
+  const CscMatrix grid =
+      grid_matrix({.nx = 100, .ny = 100, .nz = 1, .dof = 1,
+                   .wide_stencil = false, .symmetric_values = true,
+                   .seed = 42});
+  const index_t n = grid.nrows();
+  CooMatrix coo(2 * n, 2 * n);
+  for (index_t copy = 0; copy < 2; ++copy)
+    for (index_t j = 0; j < n; ++j)
+      for (index_t r : grid.column(j)) coo.add(copy * n + r, copy * n + j, 1.0);
+  return Graph::from_matrix(coo.to_csc());
+}
+
+TEST(ParallelNestedDissection, BitIdenticalToSerialAtEveryBudget) {
+  struct Case {
+    std::string name;
+    Graph graph;
+    // Whether the top split forks (above the 16384-edge floor, and
+    // the bisection succeeds) for ND and for PORD.
+    bool nd_forks;
+    bool pord_forks;
+  };
+  // GUPTA3: under ND the top split leaves a 2-vertex half and the other
+  // half's bisection fails and falls back to minimum degree; under PORD
+  // the top bisection itself fails.
+  const Graph gupta = Graph::from_matrix(make_problem(ProblemId::kGupta3, 1.0).matrix);
+  const Case cases[] = {
+      {"grid160", grid_graph(160, 160), true, true},
+      {"grid40_below_floor", grid_graph(40, 40), false, false},
+      {"two_grids", two_grids(), true, true},
+      {"gupta3_failed_split", gupta, true, false},
+  };
+  obs::Gauge& peak =
+      obs::MetricsRegistry::global().gauge("ordering.nd.threads_peak");
+  for (const Case& c : cases) {
+    for (OrderingKind kind :
+         {OrderingKind::kNestedDissection, OrderingKind::kPord}) {
+      const std::string label = c.name + " " + ordering_name(kind);
+      const bool forks =
+          kind == OrderingKind::kPord ? c.pord_forks : c.nd_forks;
+      std::vector<index_t> serial;
+      {
+        ScopedThreads one(1);
+        peak.reset();
+        serial = compute_ordering(c.graph, kind, 0);
+        EXPECT_EQ(peak.value(), 1) << label;
+      }
+      ASSERT_TRUE(is_permutation(serial)) << label;
+      for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+        ScopedThreads budget(threads);
+        peak.reset();
+        EXPECT_EQ(compute_ordering(c.graph, kind, 0), serial)
+            << label << " at " << threads << " threads";
+        // Live ordering threads never exceed the budget, and a graph
+        // above the floor really ran its halves concurrently.
+        EXPECT_LE(peak.value(), static_cast<std::int64_t>(threads)) << label;
+        if (forks && threads >= 2) EXPECT_GE(peak.value(), 2) << label;
+        if (!forks) EXPECT_EQ(peak.value(), 1) << label;
+      }
+    }
+  }
+}
+
+TEST(ParallelNestedDissection, OrdersSeriallyInsideAParallelLoop) {
+  // Sweep legs analyze on parallel_for workers, which already use the
+  // cores: each leg's ordering stays on its own thread.
+  const Graph g = grid_graph(160, 160);
+  ScopedThreads budget(4);
+  const std::vector<index_t> expected =
+      compute_ordering(g, OrderingKind::kNestedDissection, 0);
+  obs::Gauge& peak =
+      obs::MetricsRegistry::global().gauge("ordering.nd.threads_peak");
+  peak.reset();
+  std::vector<index_t> orders[2];
+  parallel_for(
+      2,
+      [&](std::size_t i) {
+        orders[i] = compute_ordering(g, OrderingKind::kNestedDissection, 0);
+      },
+      2);
+  EXPECT_EQ(orders[0], expected);
+  EXPECT_EQ(orders[1], expected);
+  EXPECT_LE(peak.value(), 2);  // the two legs, neither forked
 }
 
 TEST(Ordering, PaperOrderingsOrder) {

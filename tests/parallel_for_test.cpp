@@ -55,6 +55,20 @@ TEST(ParallelMap, GathersResultsInInputOrder) {
     EXPECT_EQ(out[i], static_cast<long>(i) * static_cast<long>(i));
 }
 
+TEST(ParallelFor, BodiesKnowTheyRunInsideAParallelLoop) {
+  EXPECT_FALSE(in_parallel_body());
+  std::atomic<int> inside{0};
+  parallel_for(
+      8, [&](std::size_t) { inside += in_parallel_body() ? 1 : 0; }, 4);
+  EXPECT_EQ(inside.load(), 8);
+  EXPECT_FALSE(in_parallel_body());
+  // A one-worker loop runs inline: nothing is spread, nothing marked.
+  bool serial_inside = true;
+  parallel_for(3, [&](std::size_t) { serial_inside &= in_parallel_body(); },
+               1);
+  EXPECT_FALSE(serial_inside);
+}
+
 TEST(DefaultThreadCount, IsAtLeastOne) {
   EXPECT_GE(default_thread_count(), 1u);
 }

@@ -18,7 +18,9 @@
 
 #include "memfront/core/prepared_cache.hpp"
 #include "memfront/solver/multifrontal.hpp"
+#include "memfront/solver/parallel_numeric.hpp"
 #include "memfront/solver/solve.hpp"
+#include "memfront/sparse/coo.hpp"
 #include "memfront/sparse/problems.hpp"
 #include "memfront/support/rng.hpp"
 
@@ -144,6 +146,100 @@ INSTANTIATE_TEST_SUITE_P(
       return problem_name(info.param.id) +
              std::string(info.param.ldlt ? "_LDLT" : "_LU");
     });
+
+// ---- LU fronts that pivot off the diagonal --------------------------------
+
+/// Tridiagonal, diagonal in [0.05, 0.5], off-diagonal 1: every front's
+/// pivot search prefers an off-diagonal row.
+CscMatrix weak_diagonal_tridiagonal(index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  CooMatrix coo(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    coo.add(i, i, rng.real(0.05, 0.5));
+    if (i + 1 < n) {
+      coo.add(i, i + 1, 1.0);
+      coo.add(i + 1, i, 1.0);
+    }
+  }
+  return coo.to_csc();
+}
+
+/// side x side 5-point Laplacian minus `shift` on the diagonal:
+/// indefinite, so fronts pivot.
+CscMatrix shifted_grid_laplacian(index_t side, double shift) {
+  CooMatrix coo(side * side, side * side);
+  for (index_t r = 0; r < side; ++r) {
+    for (index_t c = 0; c < side; ++c) {
+      const index_t v = r * side + c;
+      coo.add(v, v, 4.0 - shift);
+      if (c + 1 < side) coo.add_symmetric(v, v + 1, -1.0);
+      if (r + 1 < side) coo.add_symmetric(v, v + side, -1.0);
+    }
+  }
+  return coo.to_csc();
+}
+
+/// Worst column's normwise backward error ||b - Ax|| / (||A|| ||x|| +
+/// ||b||), computed from the original matrix, independent of the factors.
+double worst_backward_error(const CscMatrix& a, const std::vector<double>& b,
+                            const std::vector<double>& x, index_t k) {
+  const index_t n = a.nrows();
+  const double anorm = matrix_norm_inf(a);
+  double worst = 0.0;
+  for (index_t c = 0; c < k; ++c) {
+    const std::vector<double> xc = panel_column(x, n, c);
+    const std::vector<double> bc = panel_column(b, n, c);
+    double xnorm = 0.0, bnorm = 0.0;
+    for (double v : xc) xnorm = std::max(xnorm, std::abs(v));
+    for (double v : bc) bnorm = std::max(bnorm, std::abs(v));
+    worst = std::max(worst, a.residual_inf(xc, bc) / (anorm * xnorm + bnorm));
+  }
+  return worst;
+}
+
+TEST(Solve, LuSolvesFollowInFrontRowInterchanges) {
+  // The factorization swaps a front's pivot rows after its children's
+  // contribution blocks were assembled; the forward sweep must apply the
+  // swaps at the same point. Serial and 4-worker factorizations, serial
+  // and 4-worker sweeps, one and sixteen right-hand sides.
+  struct Probe {
+    std::string name;
+    CscMatrix matrix;
+  };
+  const Probe probes[] = {
+      {"tridiagonal_40", weak_diagonal_tridiagonal(40, 3)},
+      {"grid60_shift0.5", shifted_grid_laplacian(60, 0.5)},
+  };
+  for (const Probe& probe : probes) {
+    AnalysisOptions opt;
+    opt.ordering = OrderingKind::kNestedDissection;
+    const Analysis analysis = analyze(probe.matrix, opt);
+    const index_t n = probe.matrix.nrows();
+    const Factorization serial = numeric_factorize(analysis);
+    ParallelNumericOptions popt;
+    popt.nthreads = 4;
+    const Factorization parallel = parallel_numeric_factorize(analysis, popt);
+    bool swapped = false;
+    for (index_t r = 0; r < n; ++r)
+      swapped |= serial.row_of[static_cast<std::size_t>(r)] != r;
+    ASSERT_TRUE(swapped) << probe.name << ": no front pivoted off diagonal";
+    for (const Factorization* fact : {&serial, &parallel}) {
+      for (index_t k : {index_t{1}, index_t{16}}) {
+        const std::vector<double> b = random_panel(n, k, 61);
+        for (unsigned workers : {1u, 4u}) {
+          SolveOptions sopt;
+          sopt.nthreads = workers;
+          const std::vector<double> x =
+              solve_factorized_multi(analysis, *fact, b, k, sopt);
+          EXPECT_LE(worst_backward_error(probe.matrix, b, x, k), 1e-10)
+              << probe.name << (fact == &serial ? " serial" : " 4-worker")
+              << " factorization, k=" << k << ", " << workers
+              << " solve workers";
+        }
+      }
+    }
+  }
+}
 
 TEST(Solve, PanelEdgeCasesRoundTripThePermutation) {
   // k = 1 (degenerate panel) and k = 33 (one past a 32-wide tile
