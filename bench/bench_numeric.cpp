@@ -4,10 +4,15 @@
 //   1. Kernel sweep: the largest LU fronts of the biggest unsymmetric
 //      Table-1 problem, factored with the pre-blocking scalar kernel and
 //      the blocked kernel (bit-identical results); GFLOP/s of each and
-//      the single-thread speedup. Then the split kernel on the largest
-//      of those fronts at 1, 2 and 4 workers (intra-front slices through
-//      a SliceHub): GFLOP/s and the speedup over 1 worker; the bench
-//      exits nonzero if a split run's bits differ from the reference.
+//      the single-thread speedup. Then the largest front's first
+//      trailing update (schur_update) on every instruction-set path the
+//      CPU supports: GFLOP/s of each, and its bits against the portable
+//      path (the bench exits nonzero if they differ). Then the split
+//      kernel on the largest of those fronts at 1, 2 and 4 workers
+//      (intra-front slices through a SliceHub): GFLOP/s and the speedup
+//      over 1 worker; the bench exits nonzero if a split run's bits
+//      differ from the reference. Last, the median fork/join cost of a
+//      split step against the split floor's step time.
 //   2. Per-problem factorization: every Table-1 matrix, serial reference
 //      vs serial blocked vs tree-parallel at N workers; model GFLOP/s,
 //      speedups, and the arena peak against the predicted physical peak
@@ -60,6 +65,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using namespace memfront;
 using namespace memfront::bench;
+
+/// The blocked kernels' panel width (frontal/kernels.cpp): the k extent
+/// of every trailing update.
+constexpr index_t kPanelWidth = 48;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -181,6 +190,51 @@ struct SplitRow {
   bool bitwise = false;
 };
 
+/// One instruction-set path of the Schur row.
+struct SchurRow {
+  SimdPath path = SimdPath::kPortable;
+  double seconds = 0.0;
+  bool bitwise = false;
+};
+
+/// Times the first panel step's trailing update of an n-front — C(nt x nt)
+/// -= A(nt x kb) * B(kb x nt), nt = n - kb, in the front's own layout —
+/// on every path the CPU supports, and checks each path's bits against
+/// the portable path's.
+std::vector<SchurRow> time_schur_paths(const std::vector<double>& front,
+                                       index_t n, index_t kb, int min_reps) {
+  const index_t nt = n - kb;
+  const std::size_t kbn = static_cast<std::size_t>(kb) * n;
+  const double* a = front.data() + kb;  // rows [kb, n) of columns [0, kb)
+  const double* b = front.data() + kbn;  // rows [0, kb) of columns [kb, n)
+  const std::size_t c0 = kbn + kb;
+  std::vector<double> work(front.size());
+  std::vector<double> portable;
+  std::vector<SchurRow> rows;
+  for (const SimdPath path :
+       {SimdPath::kPortable, SimdPath::kAvx2, SimdPath::kAvx512}) {
+    if (!simd_path_supported(path)) continue;
+    const detail::ScopedSimdPath scoped(path);
+    double total = 0.0;
+    int reps = 0;
+    while ((reps < min_reps || total < 0.2) && reps < 50) {
+      std::copy(front.begin(), front.end(), work.begin());
+      const auto start = Clock::now();
+      schur_update(nt, nt, kb, a, n, b, n, work.data() + c0, n);
+      total += seconds_since(start);
+      ++reps;
+    }
+    SchurRow row;
+    row.path = path;
+    row.seconds = total / reps;
+    if (portable.empty()) portable = work;
+    row.bitwise = std::memcmp(work.data(), portable.data(),
+                              work.size() * sizeof(double)) == 0;
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 /// workers - 1 helper threads joining the fronts a SliceHub's worker 0
 /// posts, until destruction (which also joins them on unwinding).
 struct HubHelpers {
@@ -205,6 +259,36 @@ struct HubHelpers {
     for (std::thread& t : threads) t.join();
   }
 };
+
+/// Median fork/join cost of one split step on `workers` workers, as a
+/// panel step meets it: helpers parked (the master spends longer than
+/// their spin between steps), then a step of 4 slices per worker, each
+/// slice 25 us of busy work. Cost = step wall time - slice work / workers.
+double fork_join_us(unsigned workers) {
+  constexpr auto kSliceWork = std::chrono::microseconds(25);
+  HubHelpers helpers(workers);
+  FrontSlicer& slicer = helpers.hub.slicer(0);
+  const auto body = [&](index_t) {
+    const auto until = Clock::now() + kSliceWork;
+    while (Clock::now() < until) {
+    }
+  };
+  const auto count = static_cast<index_t>(4 * workers);
+  const double ideal_us =
+      static_cast<double>(kSliceWork.count()) * count / workers;
+  std::vector<double> cost_us;
+  slicer.begin_front(0);
+  for (int step = 0; step < 101; ++step) {
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    const auto start = Clock::now();
+    slicer.run(count, SliceBody(body));
+    cost_us.push_back(seconds_since(start) * 1e6 - ideal_us);
+  }
+  slicer.end_front();
+  std::nth_element(cost_us.begin(), cost_us.begin() + cost_us.size() / 2,
+                   cost_us.end());
+  return cost_us[cost_us.size() / 2];
+}
 
 /// Times the blocked LU kernel on one front split across `workers`
 /// threads: the calling thread is the master, workers - 1 helper threads
@@ -323,7 +407,9 @@ int main(int argc, char** argv) {
   std::cout << "bench_numeric: blocked kernels, arena stack, tree "
                "parallelism (scale="
             << opt.scale << ", threads=" << threads
-            << (opt.smoke ? ", smoke" : "") << ")\n\n";
+            << (opt.smoke ? ", smoke" : "") << ")\n"
+            << "Schur microkernel path: " << simd_path_name(simd_path())
+            << " (" << simd_lanes(simd_path()) << " lanes)\n\n";
   obs_args.begin();
 
   // ---- 1. kernel sweep on the largest LU fronts ----------------------------
@@ -383,10 +469,39 @@ int main(int argc, char** argv) {
   std::cout << "\nkernel sweep single-thread speedup (total): "
             << kernel_speedup << "x\n\n";
 
+  // Schur row: the largest swept front's first trailing update on every
+  // instruction-set path the CPU supports.
+  std::vector<SchurRow> schur_rows;
+  bool schur_bitwise = true;
+  double schur_flops = 0.0;
+  if (!kernel_rows.empty()) {
+    const index_t n = kernel_rows.front().nfront;
+    const index_t kb = std::min<index_t>(kPanelWidth, n - 1);
+    schur_flops = 2.0 * static_cast<double>(n - kb) * (n - kb) * kb;
+    schur_rows = time_schur_paths(random_front(n, 1000), n, kb, min_reps);
+    TextTable htable({"path", "lanes", "schur (ms)", "GF/s", "bitwise"});
+    for (const SchurRow& row : schur_rows) {
+      schur_bitwise = schur_bitwise && row.bitwise;
+      htable.row();
+      htable.cell(simd_path_name(row.path));
+      htable.cell(static_cast<long>(simd_lanes(row.path)));
+      htable.cell(row.seconds * 1e3, 2);
+      htable.cell(schur_flops / row.seconds / 1e9, 2);
+      htable.cell(row.bitwise ? "yes" : "NO");
+    }
+    std::cout << "Schur update of the largest front's first panel step "
+                 "(m = n = " << n - kb << ", kb = " << kb
+              << ") on every supported path; bitwise = equal to the portable "
+                 "path\n";
+    htable.print(std::cout);
+    std::cout << '\n';
+  }
+
   // Split kernel: the largest swept front, its panel steps cut into
   // column slices and run by 1, 2 and 4 workers.
   std::vector<SplitRow> split_rows;
   bool split_bitwise = true;
+  double split_floor_flops = 0.0, floor_step_us = 0.0, join_us = 0.0;
   if (!kernel_rows.empty()) {
     const KernelRow& big = kernel_rows.front();
     const std::vector<double> original = random_front(big.nfront, 1000);
@@ -415,6 +530,20 @@ int main(int argc, char** argv) {
               << "): GF/s = model flops / time, speedup = 1-worker time / "
                  "time\n";
     stable.print(std::cout);
+    // The split floor against the fork/join: the smallest trailing update
+    // that splits, timed at the chosen path's Schur rate.
+    index_t floor_nt = 1;
+    while (trailing_slices(floor_nt, kPanelWidth, 4) <= 1) ++floor_nt;
+    split_floor_flops = 2.0 * floor_nt * floor_nt * kPanelWidth;
+    for (const SchurRow& r : schur_rows)
+      if (r.path == simd_path())
+        floor_step_us = split_floor_flops / (schur_flops / r.seconds) * 1e6;
+    join_us = fork_join_us(4);
+    std::cout << "split floor " << split_floor_flops / 1e6 << " MFLOP = "
+              << floor_step_us << " us of serial Schur work; 4-worker "
+                 "fork/join with parked helpers " << join_us
+              << " us (median) = " << 100.0 * join_us / floor_step_us
+              << "% of a floor step\n";
     std::cout << "\nsplit kernel results "
               << (split_bitwise ? "bit-identical to" : "DIVERGE FROM")
               << " the scalar reference\n\n";
@@ -657,6 +786,8 @@ int main(int argc, char** argv) {
        << "  \"smoke\": " << (opt.smoke ? "true" : "false") << ",\n"
        << "  \"scale\": " << opt.scale << ",\n"
        << "  \"threads\": " << threads << ",\n"
+       << "  \"simd_path\": \"" << simd_path_name(simd_path()) << "\",\n"
+       << "  \"simd_lanes\": " << simd_lanes(simd_path()) << ",\n"
        << "  \"kernel_sweep_speedup\": " << kernel_speedup << ",\n"
        << "  \"kernel_sweep\": [\n";
   for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
@@ -667,6 +798,16 @@ int main(int argc, char** argv) {
          << ", \"blocked_gflops\": " << r.flops / r.blocked_s / 1e9 << "}"
          << (i + 1 < kernel_rows.size() ? "," : "") << "\n";
   }
+  json << "  ],\n  \"schur_paths\": [\n";
+  for (std::size_t i = 0; i < schur_rows.size(); ++i) {
+    const SchurRow& r = schur_rows[i];
+    json << "    {\"path\": \"" << simd_path_name(r.path) << "\""
+         << ", \"lanes\": " << simd_lanes(r.path)
+         << ", \"seconds\": " << r.seconds
+         << ", \"gflops\": " << schur_flops / r.seconds / 1e9
+         << ", \"bitwise\": " << (r.bitwise ? "true" : "false") << "}"
+         << (i + 1 < schur_rows.size() ? "," : "") << "\n";
+  }
   json << "  ],\n  \"split_kernel\": [\n";
   for (std::size_t i = 0; i < split_rows.size(); ++i) {
     const SplitRow& r = split_rows[i];
@@ -676,7 +817,11 @@ int main(int argc, char** argv) {
          << ", \"bitwise\": " << (r.bitwise ? "true" : "false") << "}"
          << (i + 1 < split_rows.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"problems\": [\n";
+  json << "  ],\n"
+       << "  \"split_floor_flops\": " << split_floor_flops << ",\n"
+       << "  \"split_floor_step_us\": " << floor_step_us << ",\n"
+       << "  \"fork_join_us\": " << join_us << ",\n"
+       << "  \"problems\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ProblemRow& r = rows[i];
     json << "    {\"name\": \"" << r.name << "\""
@@ -726,6 +871,11 @@ int main(int argc, char** argv) {
   obs_args.finish();
   if (!arena_matches) {
     std::cerr << "bench_numeric: arena peak diverged from prediction\n";
+    return 1;
+  }
+  if (!schur_bitwise) {
+    std::cerr << "bench_numeric: a Schur path diverged from the portable "
+                 "path\n";
     return 1;
   }
   if (!split_bitwise) {

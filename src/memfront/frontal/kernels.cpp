@@ -1,7 +1,12 @@
 #include "memfront/frontal/kernels.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "memfront/obs/span_tracer.hpp"
 #include "memfront/support/error.hpp"
@@ -11,19 +16,23 @@ namespace {
 
 // Tile sizes of the trailing update. The panel width bounds the k extent
 // of every GEMM call; the row/column tiles keep the working set of one
-// tile pass (A block + B block) inside L2 without packing.
+// tile pass (A block + B block) inside L2 without packing. The row tile
+// is a multiple of every path's microkernel height (24, 12 and 4 rows).
 constexpr index_t kPanelWidth = 48;
-constexpr index_t kRowTile = 128;
+constexpr index_t kRowTile = 240;
 constexpr index_t kColTile = 240;
 constexpr index_t kMicroRows = 4;
 constexpr index_t kMicroCols = 4;
 // Intra-front split floor: a panel step's trailing update (2*nt*nt*kb
 // flops) is cut into slices only from this size up. One fork/join of a
 // step with parked helpers — post, futex wake, claims, the master's
-// join — measured about 50 us at the median (up to about 200 us at p90)
-// on a 4-vCPU Xeon VM with gcc -O2; 12 MFLOP is about 2 ms of
-// blocked-kernel work at its 6 GF/s, so the median join stays near 2.5%
-// of the step it splits.
+// join — measured 20-31 us at the median (bench_numeric's split row, a
+// 4-vCPU AVX-512 Xeon VM, gcc 12 -O2). 12 MFLOP is 0.4-0.6 ms of the
+// AVX-512 kernel's work, so the join is about 5% of a floor-sized step.
+// Doubling the floor to bring that to 2.5% did not pay: e2ebench
+// factor_s moved -2% on big_front and +4% on bushy_tree (medians of 4
+// pairs). Helpers join a step only when they have no tree task, so the
+// join spends time that would otherwise be idle.
 constexpr count_t kSplitFloorFlops = 12'000'000;
 // Slices per joining thread: enough that a helper arriving late, or a
 // core the host slows down, costs a fraction of a slice instead of a
@@ -35,11 +44,13 @@ inline std::size_t stride(index_t i, index_t ld) {
   return static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
 }
 
+// ---- portable microkernels --------------------------------------------------
+
 /// 4x4 register-blocked microkernel: sixteen independent accumulator
 /// chains, each subtracting its products in increasing k — the same
 /// per-element operation sequence as the scalar rank-1 loop.
-inline void micro_4x4(index_t kb, const double* a, index_t lda,
-                      const double* b, index_t ldb, double* c, index_t ldc) {
+void micro_4x4(index_t kb, const double* a, index_t lda, const double* b,
+               index_t ldb, double* c, index_t ldc) {
   const double* b0 = b;
   const double* b1 = b + stride(1, ldb);
   const double* b2 = b + stride(2, ldb);
@@ -80,9 +91,9 @@ inline void micro_4x4(index_t kb, const double* a, index_t lda,
 }
 
 /// Partial-tile fallback (mr <= 4, nr <= 4); same accumulator discipline.
-inline void micro_edge(index_t mr, index_t nr, index_t kb, const double* a,
-                       index_t lda, const double* b, index_t ldb, double* c,
-                       index_t ldc) {
+void micro_edge(index_t mr, index_t nr, index_t kb, const double* a,
+                index_t lda, const double* b, index_t ldb, double* c,
+                index_t ldc) {
   double acc[kMicroRows][kMicroCols];
   for (index_t j = 0; j < nr; ++j)
     for (index_t i = 0; i < mr; ++i) acc[i][j] = c[stride(j, ldc) + i];
@@ -94,6 +105,206 @@ inline void micro_edge(index_t mr, index_t nr, index_t kb, const double* a,
     }
   for (index_t j = 0; j < nr; ++j)
     for (index_t i = 0; i < mr; ++i) c[stride(j, ldc) + i] = acc[i][j];
+}
+
+#if defined(__x86_64__)
+// ---- x86 vector microkernels ------------------------------------------------
+//
+// Vector lanes run across the rows of a micro-tile: lane i of an
+// accumulator is element (i0+i, j). Each k step broadcasts B(k,j), takes
+// the rounded product with the A column vector, then subtracts it from
+// the accumulator — two roundings, exactly the scalar `c -= a * w`.
+// The build pins -ffp-contract=off so the compiler never fuses the pair
+// into an FMA (which would round once and change bits). Masked loads
+// and stores cover row remainders: masked-off lanes compute on zeros and
+// are never written back.
+
+#define MEMFRONT_AVX512 __attribute__((target("avx512f")))
+#define MEMFRONT_AVX2 __attribute__((target("avx2")))
+
+/// 24x4 AVX-512 tile: three 8-row vectors x four columns, twelve
+/// accumulator chains.
+MEMFRONT_AVX512 void avx512_24x4(index_t kb, const double* a, index_t lda,
+                                 const double* b, index_t ldb, double* c,
+                                 index_t ldc) {
+  const double* bj[4];
+  __m512d acc[4][3];
+  for (int j = 0; j < 4; ++j) {
+    bj[j] = b + stride(j, ldb);
+    double* cj = c + stride(j, ldc);
+    for (int v = 0; v < 3; ++v) acc[j][v] = _mm512_loadu_pd(cj + 8 * v);
+  }
+  const double* ak = a;
+  for (index_t k = 0; k < kb; ++k, ak += lda) {
+    const __m512d a0 = _mm512_loadu_pd(ak);
+    const __m512d a1 = _mm512_loadu_pd(ak + 8);
+    const __m512d a2 = _mm512_loadu_pd(ak + 16);
+    for (int j = 0; j < 4; ++j) {
+      const __m512d w = _mm512_set1_pd(bj[j][k]);
+      acc[j][0] = _mm512_sub_pd(acc[j][0], _mm512_mul_pd(a0, w));
+      acc[j][1] = _mm512_sub_pd(acc[j][1], _mm512_mul_pd(a1, w));
+      acc[j][2] = _mm512_sub_pd(acc[j][2], _mm512_mul_pd(a2, w));
+    }
+  }
+  for (int j = 0; j < 4; ++j) {
+    double* cj = c + stride(j, ldc);
+    for (int v = 0; v < 3; ++v) _mm512_storeu_pd(cj + 8 * v, acc[j][v]);
+  }
+}
+
+/// 8 x NR AVX-512 tile over the rows `mask` selects.
+template <int NR>
+MEMFRONT_AVX512 void avx512_8xn(__mmask8 mask, index_t kb, const double* a,
+                                index_t lda, const double* b, index_t ldb,
+                                double* c, index_t ldc) {
+  __m512d acc[NR];
+  for (int j = 0; j < NR; ++j)
+    acc[j] = _mm512_maskz_loadu_pd(mask, c + stride(j, ldc));
+  const double* ak = a;
+  for (index_t k = 0; k < kb; ++k, ak += lda) {
+    const __m512d av = _mm512_maskz_loadu_pd(mask, ak);
+    for (int j = 0; j < NR; ++j) {
+      const __m512d w = _mm512_set1_pd(b[stride(j, ldb) + k]);
+      acc[j] = _mm512_sub_pd(acc[j], _mm512_mul_pd(av, w));
+    }
+  }
+  for (int j = 0; j < NR; ++j)
+    _mm512_mask_storeu_pd(c + stride(j, ldc), mask, acc[j]);
+}
+
+/// Edge tiles of the AVX-512 path (mr < 24 or nr < 4): 8-row tiles, the
+/// last one masked.
+MEMFRONT_AVX512 void avx512_edge(index_t mr, index_t nr, index_t kb,
+                                 const double* a, index_t lda,
+                                 const double* b, index_t ldb, double* c,
+                                 index_t ldc) {
+  for (index_t i = 0; i < mr; i += 8) {
+    const index_t rows = std::min<index_t>(8, mr - i);
+    const __mmask8 mask = static_cast<__mmask8>((1u << rows) - 1u);
+    switch (nr) {
+      case 4: avx512_8xn<4>(mask, kb, a + i, lda, b, ldb, c + i, ldc); break;
+      case 3: avx512_8xn<3>(mask, kb, a + i, lda, b, ldb, c + i, ldc); break;
+      case 2: avx512_8xn<2>(mask, kb, a + i, lda, b, ldb, c + i, ldc); break;
+      default: avx512_8xn<1>(mask, kb, a + i, lda, b, ldb, c + i, ldc);
+    }
+  }
+}
+
+/// 12x4 AVX2 tile: three 4-row vectors x four columns, twelve
+/// accumulator chains (with the three A vectors and the broadcast, all
+/// sixteen ymm registers).
+MEMFRONT_AVX2 void avx2_12x4(index_t kb, const double* a, index_t lda,
+                             const double* b, index_t ldb, double* c,
+                             index_t ldc) {
+  const double* bj[4];
+  __m256d acc[4][3];
+  for (int j = 0; j < 4; ++j) {
+    bj[j] = b + stride(j, ldb);
+    double* cj = c + stride(j, ldc);
+    for (int v = 0; v < 3; ++v) acc[j][v] = _mm256_loadu_pd(cj + 4 * v);
+  }
+  const double* ak = a;
+  for (index_t k = 0; k < kb; ++k, ak += lda) {
+    const __m256d a0 = _mm256_loadu_pd(ak);
+    const __m256d a1 = _mm256_loadu_pd(ak + 4);
+    const __m256d a2 = _mm256_loadu_pd(ak + 8);
+    for (int j = 0; j < 4; ++j) {
+      const __m256d w = _mm256_broadcast_sd(bj[j] + k);
+      acc[j][0] = _mm256_sub_pd(acc[j][0], _mm256_mul_pd(a0, w));
+      acc[j][1] = _mm256_sub_pd(acc[j][1], _mm256_mul_pd(a1, w));
+      acc[j][2] = _mm256_sub_pd(acc[j][2], _mm256_mul_pd(a2, w));
+    }
+  }
+  for (int j = 0; j < 4; ++j) {
+    double* cj = c + stride(j, ldc);
+    for (int v = 0; v < 3; ++v) _mm256_storeu_pd(cj + 4 * v, acc[j][v]);
+  }
+}
+
+/// 4 x NR AVX2 tile over the rows `mask` selects (sign bit set = lane on).
+template <int NR>
+MEMFRONT_AVX2 void avx2_4xn(__m256i mask, index_t kb, const double* a,
+                            index_t lda, const double* b, index_t ldb,
+                            double* c, index_t ldc) {
+  __m256d acc[NR];
+  for (int j = 0; j < NR; ++j)
+    acc[j] = _mm256_maskload_pd(c + stride(j, ldc), mask);
+  const double* ak = a;
+  for (index_t k = 0; k < kb; ++k, ak += lda) {
+    const __m256d av = _mm256_maskload_pd(ak, mask);
+    for (int j = 0; j < NR; ++j) {
+      const __m256d w = _mm256_broadcast_sd(b + stride(j, ldb) + k);
+      acc[j] = _mm256_sub_pd(acc[j], _mm256_mul_pd(av, w));
+    }
+  }
+  for (int j = 0; j < NR; ++j)
+    _mm256_maskstore_pd(c + stride(j, ldc), mask, acc[j]);
+}
+
+/// Edge tiles of the AVX2 path (mr < 12 or nr < 4): 4-row tiles, the
+/// last one masked.
+MEMFRONT_AVX2 void avx2_edge(index_t mr, index_t nr, index_t kb,
+                             const double* a, index_t lda, const double* b,
+                             index_t ldb, double* c, index_t ldc) {
+  for (index_t i = 0; i < mr; i += 4) {
+    const long long rows = std::min<index_t>(4, mr - i);
+    const __m256i mask = _mm256_set_epi64x(rows > 3 ? -1 : 0, rows > 2 ? -1 : 0,
+                                           rows > 1 ? -1 : 0, -1);
+    switch (nr) {
+      case 4: avx2_4xn<4>(mask, kb, a + i, lda, b, ldb, c + i, ldc); break;
+      case 3: avx2_4xn<3>(mask, kb, a + i, lda, b, ldb, c + i, ldc); break;
+      case 2: avx2_4xn<2>(mask, kb, a + i, lda, b, ldb, c + i, ldc); break;
+      default: avx2_4xn<1>(mask, kb, a + i, lda, b, ldb, c + i, ldc);
+    }
+  }
+}
+
+#undef MEMFRONT_AVX512
+#undef MEMFRONT_AVX2
+#endif  // __x86_64__
+
+// ---- dispatch ---------------------------------------------------------------
+
+using MicroFull = void (*)(index_t kb, const double* a, index_t lda,
+                           const double* b, index_t ldb, double* c,
+                           index_t ldc);
+using MicroEdge = void (*)(index_t mr, index_t nr, index_t kb,
+                           const double* a, index_t lda, const double* b,
+                           index_t ldb, double* c, index_t ldc);
+
+/// One path's microkernels: `full` updates a rows x 4 tile, `edge` any
+/// tile with fewer rows or columns.
+struct Microkernel {
+  index_t rows;
+  MicroFull full;
+  MicroEdge edge;
+};
+
+Microkernel microkernel(SimdPath path) {
+  switch (path) {
+#if defined(__x86_64__)
+    case SimdPath::kAvx512: return {24, avx512_24x4, avx512_edge};
+    case SimdPath::kAvx2: return {12, avx2_12x4, avx2_edge};
+#endif
+    default: return {kMicroRows, micro_4x4, micro_edge};
+  }
+}
+
+SimdPath detect_simd_path() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) return SimdPath::kAvx512;
+  if (__builtin_cpu_supports("avx2")) return SimdPath::kAvx2;
+#endif
+  return SimdPath::kPortable;
+}
+
+/// detail::ScopedSimdPath's override; -1 = none.
+std::atomic<int> g_path_override{-1};
+
+SimdPath active_simd_path() {
+  const int forced = g_path_override.load(std::memory_order_relaxed);
+  return forced >= 0 ? static_cast<SimdPath>(forced) : simd_path();
 }
 
 /// Static pivoting: perturb a numerically tiny pivot instead of delaying
@@ -150,10 +361,50 @@ index_t trailing_slices(index_t nt, index_t kb, index_t width) {
                            (nt + kMicroCols - 1) / kMicroCols);
 }
 
+SimdPath simd_path() {
+  static const SimdPath detected = detect_simd_path();
+  return detected;
+}
+
+bool simd_path_supported(SimdPath path) {
+  return static_cast<int>(path) <= static_cast<int>(simd_path());
+}
+
+const char* simd_path_name(SimdPath path) {
+  switch (path) {
+    case SimdPath::kAvx512: return "avx512";
+    case SimdPath::kAvx2: return "avx2";
+    default: return "portable";
+  }
+}
+
+index_t simd_lanes(SimdPath path) {
+  switch (path) {
+    case SimdPath::kAvx512: return 8;
+    case SimdPath::kAvx2: return 4;
+    default: return 1;
+  }
+}
+
+namespace detail {
+
+ScopedSimdPath::ScopedSimdPath(SimdPath path)
+    : previous_(g_path_override.load(std::memory_order_relaxed)) {
+  check(simd_path_supported(path), "ScopedSimdPath: path not supported here");
+  g_path_override.store(static_cast<int>(path), std::memory_order_relaxed);
+}
+
+ScopedSimdPath::~ScopedSimdPath() {
+  g_path_override.store(previous_, std::memory_order_relaxed);
+}
+
+}  // namespace detail
+
 void schur_update(index_t m, index_t n, index_t kb, const double* a,
                   index_t lda, const double* b, index_t ldb, double* c,
                   index_t ldc) {
   if (m <= 0 || n <= 0 || kb <= 0) return;
+  const Microkernel micro = microkernel(active_simd_path());
   for (index_t jc = 0; jc < n; jc += kColTile) {
     const index_t nc = std::min(kColTile, n - jc);
     for (index_t ic = 0; ic < m; ic += kRowTile) {
@@ -161,14 +412,14 @@ void schur_update(index_t m, index_t n, index_t kb, const double* a,
       for (index_t j0 = 0; j0 < nc; j0 += kMicroCols) {
         const index_t nr = std::min(kMicroCols, nc - j0);
         const double* bt = b + stride(jc + j0, ldb);
-        for (index_t i0 = 0; i0 < mc; i0 += kMicroRows) {
-          const index_t mr = std::min(kMicroRows, mc - i0);
+        for (index_t i0 = 0; i0 < mc; i0 += micro.rows) {
+          const index_t mr = std::min(micro.rows, mc - i0);
           const double* at = a + (ic + i0);
           double* ct = c + stride(jc + j0, ldc) + (ic + i0);
-          if (mr == kMicroRows && nr == kMicroCols)
-            micro_4x4(kb, at, lda, bt, ldb, ct, ldc);
+          if (mr == micro.rows && nr == kMicroCols)
+            micro.full(kb, at, lda, bt, ldb, ct, ldc);
           else
-            micro_edge(mr, nr, kb, at, lda, bt, ldb, ct, ldc);
+            micro.edge(mr, nr, kb, at, lda, bt, ldb, ct, ldc);
         }
       }
     }

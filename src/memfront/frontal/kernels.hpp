@@ -11,6 +11,18 @@
 // arithmetic cannot observe), never within one element's update chain, and
 // no partial products are pre-accumulated. Pivot search is untouched, so
 // pivot sequences are identical too.
+//
+// The trailing update's microkernel comes in instruction-set paths —
+// AVX-512 (24x4 tile), AVX2 (12x4) and the portable 4x4 scalar block —
+// and each process runs the widest its CPU reports (simd_path()). The
+// vector paths put their lanes across the rows of a micro-tile, i.e.
+// across different elements, and still do `acc = acc - (a * w)` per
+// lane: a rounded multiply, then a rounded subtract, in increasing k.
+// So every element's chain is the scalar one and every path leaves the
+// same bits. There is no FMA anywhere: a fused multiply-subtract rounds
+// once and would change them. Compilers fuse on their own once the
+// target has FMA (GCC even fuses the intrinsics), so CMake pins
+// -ffp-contract=off on the library and everything linking it.
 #pragma once
 
 #include <vector>
@@ -100,8 +112,38 @@ class SliceRunner {
 /// min(width * slices-per-thread, nt / 4 rounded up).
 index_t trailing_slices(index_t nt, index_t kb, index_t width);
 
+/// Instruction-set paths of schur_update's microkernel, narrowest first.
+enum class SimdPath { kPortable, kAvx2, kAvx512 };
+
+/// The path schur_update runs in this process: the widest one the CPU
+/// reports (CPUID, read once). Every path leaves the same bits.
+SimdPath simd_path();
+/// True for simd_path() and every narrower path.
+bool simd_path_supported(SimdPath path);
+/// "portable", "avx2" or "avx512".
+const char* simd_path_name(SimdPath path);
+/// Doubles per vector of a path: 8, 4, or 1 for the portable scalar code.
+index_t simd_lanes(SimdPath path);
+
+namespace detail {
+/// Test and benchmark hook: while alive, schur_update — and with it every
+/// blocked kernel, on every thread — runs `path` instead of simd_path().
+/// Throws unless the CPU supports `path`. Not for concurrent kernels
+/// that expect different paths; instances must nest.
+class ScopedSimdPath {
+ public:
+  explicit ScopedSimdPath(SimdPath path);
+  ~ScopedSimdPath();
+  ScopedSimdPath(const ScopedSimdPath&) = delete;
+  ScopedSimdPath& operator=(const ScopedSimdPath&) = delete;
+
+ private:
+  int previous_;
+};
+}  // namespace detail
+
 /// C(0:m,0:n) -= A(0:m,0:kb) * B(0:kb,0:n), all column-major with leading
-/// dimensions lda/ldb/ldc. Cache-tiled with a register-blocked microkernel;
+/// dimensions lda/ldb/ldc. Cache-tiled with the simd_path() microkernel;
 /// per-element update order is increasing k (see header comment).
 void schur_update(index_t m, index_t n, index_t kb, const double* a,
                   index_t lda, const double* b, index_t ldb, double* c,

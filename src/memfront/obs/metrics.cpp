@@ -9,6 +9,7 @@
 
 #include "memfront/core/parallel_factor.hpp"
 #include "memfront/core/prepared_cache.hpp"
+#include "memfront/frontal/kernels.hpp"
 #include "memfront/ooc/config.hpp"
 #include "memfront/solver/parallel_numeric.hpp"
 
@@ -203,10 +204,17 @@ inline std::int64_t seconds_to_us(double s) {
   return static_cast<std::int64_t>(std::llround(s * 1e6));
 }
 
+/// The Schur microkernel's vector width, so a snapshot explains its
+/// kernel rate (8 = AVX-512, 4 = AVX2, 1 = portable).
+void record_simd_lanes(MetricsRegistry& m) {
+  m.gauge("frontal.simd_lanes").set(simd_lanes(simd_path()));
+}
+
 }  // namespace
 
 void record_factor_stats(const FactorStats& stats) {
   MetricsRegistry& m = MetricsRegistry::global();
+  record_simd_lanes(m);
   m.counter("solver.factor.runs").add();
   m.counter("solver.factor.factor_entries").add(stats.factor_entries);
   m.counter("solver.factor.perturbations").add(stats.perturbations);
@@ -230,6 +238,7 @@ void record_factor_stats(const FactorStats& stats) {
 void record_parallel_numeric_stats(const ParallelNumericStats& stats,
                                    double wall_seconds) {
   MetricsRegistry& m = MetricsRegistry::global();
+  record_simd_lanes(m);
   m.counter("solver.parallel.runs").add();
   m.counter("solver.parallel.subtree_tasks").add(stats.num_subtrees);
   m.counter("solver.parallel.upper_tasks").add(stats.num_upper_nodes);

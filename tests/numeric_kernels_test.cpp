@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -319,6 +320,147 @@ TEST(NumericKernels, SchurUpdateMatchesScalarRankUpdates) {
   schur_update(m, n, kb, a.data(), m, b.data(), kb, c.data(), m);
   EXPECT_EQ(0, std::memcmp(c.data(), expected.data(),
                            c.size() * sizeof(double)));
+}
+
+// ---- instruction-set paths of the Schur microkernel ------------------------
+
+/// C -= A·B, one element at a time in increasing k, with every product
+/// forced through a rounded temporary: the oracle no compiler can fuse.
+void schur_volatile(index_t m, index_t n, index_t kb, const double* a,
+                    index_t lda, const double* b, index_t ldb, double* c,
+                    index_t ldc) {
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      double acc = c[static_cast<std::size_t>(j) * ldc + i];
+      for (index_t k = 0; k < kb; ++k) {
+        volatile double p = a[static_cast<std::size_t>(k) * lda + i] *
+                            b[static_cast<std::size_t>(j) * ldb + k];
+        acc = acc - p;
+      }
+      c[static_cast<std::size_t>(j) * ldc + i] = acc;
+    }
+}
+
+/// FMA canary operands: a·w is inexact and rounds to exactly c, so an
+/// unfused `c - a*w` is +0.0 while fma(-a, w, c) is 2^-60.
+constexpr double kCanaryA = 1.0 - 0x1p-30;
+constexpr double kCanaryW = 1.0 + 0x1p-30;
+constexpr double kCanaryC = 1.0;
+
+std::string path_name(const ::testing::TestParamInfo<SimdPath>& info) {
+  return simd_path_name(info.param);
+}
+
+/// One test per path; a path the host CPU lacks is skipped, by name.
+class SimdPathTest : public ::testing::TestWithParam<SimdPath> {
+ protected:
+  void SetUp() override {
+    if (!simd_path_supported(GetParam()))
+      GTEST_SKIP() << "host CPU lacks the " << simd_path_name(GetParam())
+                   << " path (running " << simd_path_name(simd_path())
+                   << ")";
+  }
+};
+
+TEST_P(SimdPathTest, SchurBitIdenticalOnRaggedShapes) {
+  // Every row remainder of every microkernel height (m 1..50), row
+  // counts around 128 and past one row tile (263), column counts off the
+  // 4-column tile and past one column tile (243), leading dimensions
+  // above m, and every operand one double off its allocation's
+  // alignment. Whole buffers are compared, padding included, so a stray
+  // masked store shows too.
+  std::vector<index_t> ms;
+  for (index_t m = 1; m <= 50; ++m) ms.push_back(m);
+  for (const index_t m : {127, 128, 129, 263}) ms.push_back(m);
+  Rng rng(7);
+  for (const index_t kb : {1, 7, 48})
+    for (const index_t n : {1, 2, 3, 6, 13, 243})
+      for (const index_t m : ms) {
+        if (n == 243 && m < 127) continue;  // keep the big-n cases few
+        const index_t lda = m + 3, ldb = kb + 2, ldc = m + 5;
+        std::vector<double> a(1 + static_cast<std::size_t>(lda) * kb);
+        std::vector<double> b(1 + static_cast<std::size_t>(ldb) * n);
+        std::vector<double> c(1 + static_cast<std::size_t>(ldc) * n);
+        for (double& v : a) v = rng.real(-2.0, 2.0);
+        for (double& v : b) v = rng.real(-2.0, 2.0);
+        for (double& v : c) v = rng.real(-2.0, 2.0);
+        std::vector<double> portable = c;
+        std::vector<double> oracle = c;
+        {
+          const detail::ScopedSimdPath scoped(SimdPath::kPortable);
+          schur_update(m, n, kb, a.data() + 1, lda, b.data() + 1, ldb,
+                       portable.data() + 1, ldc);
+        }
+        schur_volatile(m, n, kb, a.data() + 1, lda, b.data() + 1, ldb,
+                       oracle.data() + 1, ldc);
+        const detail::ScopedSimdPath scoped(GetParam());
+        schur_update(m, n, kb, a.data() + 1, lda, b.data() + 1, ldb,
+                     c.data() + 1, ldc);
+        const std::size_t bytes = c.size() * sizeof(double);
+        ASSERT_EQ(0, std::memcmp(c.data(), portable.data(), bytes))
+            << "vs portable: m=" << m << " n=" << n << " kb=" << kb;
+        ASSERT_EQ(0, std::memcmp(c.data(), oracle.data(), bytes))
+            << "vs volatile loop: m=" << m << " n=" << n << " kb=" << kb;
+      }
+}
+
+TEST_P(SimdPathTest, SchurHasNoFusedMultiplySubtract) {
+  volatile double p = kCanaryA * kCanaryW;
+  ASSERT_NE(std::fma(-kCanaryA, kCanaryW, kCanaryC), kCanaryC - p)
+      << "canary operands do not separate fused from unfused";
+  // The canary product comes last in every element's chain (earlier
+  // A columns are zero), so full tiles and edge tiles all end at +0.0.
+  const detail::ScopedSimdPath scoped(GetParam());
+  for (const index_t kb : {1, 7}) {
+    const index_t m = 37, n = 7;
+    std::vector<double> a(static_cast<std::size_t>(m) * kb, 0.0);
+    std::fill(a.end() - m, a.end(), kCanaryA);
+    std::vector<double> b(static_cast<std::size_t>(kb) * n, kCanaryW);
+    std::vector<double> c(static_cast<std::size_t>(m) * n, kCanaryC);
+    schur_update(m, n, kb, a.data(), m, b.data(), kb, c.data(), m);
+    const std::vector<double> zeros(c.size(), 0.0);
+    EXPECT_EQ(0, std::memcmp(c.data(), zeros.data(),
+                             c.size() * sizeof(double)))
+        << "kb=" << kb << ": c[0] = " << c[0];
+  }
+}
+
+TEST_P(SimdPathTest, PartialFactorsBitIdenticalSlicedAndUnsliced) {
+  const detail::ScopedSimdPath scoped(GetParam());
+  check_lu_bitwise(129, 77, 61, false);
+  check_lu_bitwise(263, 263, 62, true);
+  check_ldlt_bitwise(131, 131, 63);
+  check_ldlt_bitwise(263, 150, 64);
+  EXPECT_GT(check_sliced_bitwise(613, 500, 65, false, false, 3), 0);
+  EXPECT_GT(check_sliced_bitwise(613, 613, 66, true, true, 3), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, SimdPathTest,
+                         ::testing::Values(SimdPath::kPortable,
+                                           SimdPath::kAvx2,
+                                           SimdPath::kAvx512),
+                         path_name);
+
+TEST(NumericKernels, PanelAndReferenceHaveNoFusedMultiplySubtract) {
+  // The second pivot of each 2x2 front is c - l*u with canary operands:
+  // exactly +0.0 unfused (an exact zero pivot), 2^-60 fused.
+  volatile double aa = kCanaryA * kCanaryA;
+  const double c2 = aa;  // round(a*a): the LDLt canary's c
+  for (const bool blocked : {true, false}) {
+    std::vector<double> lu{1.0, kCanaryA, kCanaryW, kCanaryC};
+    const PartialFactorResult lr =
+        blocked ? partial_lu_blocked(FrontView{lu.data(), 2, 2}, 2)
+                : partial_lu_reference(FrontView{lu.data(), 2, 2}, 2);
+    EXPECT_EQ(lr.exact_zero_pivots, 1) << "LU blocked=" << blocked;
+    EXPECT_EQ(lu[3], kPivotFloor) << "LU blocked=" << blocked;
+
+    std::vector<double> ld{1.0, kCanaryA, kCanaryA, c2};
+    const PartialFactorResult dr =
+        blocked ? partial_ldlt_blocked(FrontView{ld.data(), 2, 2}, 2)
+                : partial_ldlt_reference(FrontView{ld.data(), 2, 2}, 2);
+    EXPECT_EQ(dr.exact_zero_pivots, 1) << "LDLt blocked=" << blocked;
+    EXPECT_EQ(ld[3], kPivotFloor) << "LDLt blocked=" << blocked;
+  }
 }
 
 TEST(NumericKernels, SignbitPreservingPerturbation) {
