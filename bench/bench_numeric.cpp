@@ -9,10 +9,11 @@
 //      CPU supports: GFLOP/s of each, and its bits against the portable
 //      path (the bench exits nonzero if they differ). Then the split
 //      kernel on the largest of those fronts at 1, 2 and 4 workers
-//      (intra-front slices through a SliceHub): GFLOP/s and the speedup
-//      over 1 worker; the bench exits nonzero if a split run's bits
-//      differ from the reference. Last, the median fork/join cost of a
-//      split step against the split floor's step time.
+//      (intra-front slices through a SliceHub): GFLOP/s, the speedup
+//      over 1 worker and the slices the helpers ran (0 = nobody helped);
+//      the bench exits nonzero if a split run's bits differ from the
+//      reference. Last, the median fork/join cost of a split step
+//      against the split floor's step time.
 //   2. Per-problem factorization: every Table-1 matrix, serial reference
 //      vs serial blocked vs tree-parallel at N workers; model GFLOP/s,
 //      speedups, and the arena peak against the predicted physical peak
@@ -21,25 +22,19 @@
 //      parallel speedup, written with everything else to
 //      BENCH_numeric.json so CI archives the trajectory.
 //
-// plus the dynamic-scheduler comparison (PR-10): every Table-1 problem
-// factored static (steal=off) vs dynamic-workload vs dynamic-memory at a
-// fixed worker count, and a worker-scaling sweep on the problem where
-// stealing helps most, written to BENCH_sched.json.
+// plus the scheduler-policy comparison: every Table-1 problem factored
+// under the workload and the memory policy at a fixed worker count,
+// written to BENCH_sched.json.
 //
 //   bench_numeric [scale] [--smoke] [--threads N] [--json PATH]
-//                 [--policy workload|memory] [--steal on|off]
-//                 [--sched-json PATH] [--sched-probe static|dynamic]
+//                 [--policy workload|memory] [--sched-json PATH]
 //                 [--trace-out FILE] [--metrics-out FILE]
 //
 // --smoke shrinks the run for CI (scale 0.3) unless an explicit scale is
-// given. --policy/--steal select the scheduler mode of the per-problem
-// parallel runs. --sched-probe runs ONLY a best-of-N throughput probe of
-// the chosen scheduling mode on a fixed problem and writes
-// `sched_factor_entries_per_sec` to --json — the CI dynamic-overhead
-// gate (scripts/check_overhead.py) compares static vs dynamic builds of
-// that key. --trace-out records the real factorizations as a Perfetto
-// timeline (per-worker subtree/upper-part/kernel spans) and writes a
-// metrics snapshot next to it.
+// given. --policy selects the scheduler policy of the per-problem
+// parallel runs. --trace-out records the real factorizations as a
+// Perfetto timeline (per-worker subtree/upper-part/kernel spans) and
+// writes a metrics snapshot next to it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -81,15 +76,12 @@ struct NumericOptionsCli {
   std::string json_path = "BENCH_numeric.json";
   std::string sched_json_path = "BENCH_sched.json";
   RealSchedOptions sched{};
-  /// "" = off; "static"/"dynamic" = probe-only mode for the CI gate.
-  std::string sched_probe;
 };
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [scale] [--smoke] [--threads N] [--json PATH]"
-               " [--policy workload|memory] [--steal on|off]"
-               " [--sched-json PATH] [--sched-probe static|dynamic]"
+               " [--policy workload|memory] [--sched-json PATH]"
                " [--trace-out FILE] [--metrics-out FILE]\n";
   std::exit(2);
 }
@@ -117,20 +109,6 @@ NumericOptionsCli parse(int argc, char** argv) {
       else if (std::strcmp(name, "memory") == 0)
         opt.sched.policy = RealPolicy::kMemory;
       else
-        usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--steal") == 0) {
-      if (i + 1 >= argc) usage(argv[0]);
-      const char* mode = argv[++i];
-      if (std::strcmp(mode, "on") == 0)
-        opt.sched.steal = true;
-      else if (std::strcmp(mode, "off") == 0)
-        opt.sched.steal = false;
-      else
-        usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--sched-probe") == 0) {
-      if (i + 1 >= argc) usage(argv[0]);
-      opt.sched_probe = argv[++i];
-      if (opt.sched_probe != "static" && opt.sched_probe != "dynamic")
         usage(argv[0]);
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       usage(argv[0]);
@@ -188,6 +166,7 @@ struct SplitRow {
   unsigned workers = 0;
   double seconds = 0.0;
   bool bitwise = false;
+  std::uint64_t helper_slices = 0;  ///< over every rep of this width
 };
 
 /// One instruction-set path of the Schur row.
@@ -313,6 +292,7 @@ SplitRow time_split_kernel(const std::vector<double>& original, index_t n,
   factor(FrontView{work.data(), n, n}, npiv);
   row.bitwise = std::memcmp(work.data(), reference.data(),
                             work.size() * sizeof(double)) == 0;
+  row.helper_slices = helpers.hub.helper_slices();
   return row;
 }
 
@@ -330,70 +310,18 @@ struct ProblemRow {
   index_t subtrees = 0;
 };
 
-/// One static-vs-dynamic comparison row of the scheduler sweep.
+/// One workload-vs-memory comparison row of the scheduler sweep.
 struct SchedRow {
   std::string name;
-  double static_s = 0.0;
-  double dyn_workload_s = 0.0;
-  double dyn_memory_s = 0.0;
-  std::uint64_t steals = 0;        ///< dyn-workload run
-  std::uint64_t wakeups = 0;       ///< dyn-workload run
-  std::uint64_t static_idle_ns = 0;
-  std::uint64_t dyn_idle_ns = 0;   ///< dyn-workload run
-  count_t static_peak = 0;
-  count_t dyn_peak = 0;
+  double workload_s = 0.0;
+  double memory_s = 0.0;
+  std::uint64_t steals = 0;   ///< workload run
+  std::uint64_t wakeups = 0;  ///< workload run
+  std::uint64_t idle_ns = 0;  ///< workload run
+  count_t workload_peak = 0;
+  count_t memory_peak = 0;
   index_t subtrees = 0;
-  bool dynamic_beats_static = false;
 };
-
-/// Best-of-N throughput probe of one scheduling mode on a fixed,
-/// well-balanced problem, for the CI dynamic-overhead gate. Factor
-/// entries per second is a pure dispatch-overhead meter: the numeric
-/// work is bit-identical between modes, so any rate delta is scheduler
-/// cost.
-int run_sched_probe(const NumericOptionsCli& opt, unsigned threads) {
-  // PRE2: the biggest Table-1 problem — runs long enough per
-  // factorization that the best-of-N rate is dispatch-dominated noise,
-  // not timer noise.
-  const Problem p = make_problem(ProblemId::kPre2, opt.scale);
-  AnalysisOptions aopt;
-  aopt.ordering = OrderingKind::kNestedDissection;
-  const std::shared_ptr<const Analysis> analysis =
-      PreparedCache::global().analysis(p.matrix, aopt);
-  ParallelNumericOptions popt;
-  popt.nthreads = threads;
-  popt.nprocs = threads;
-  popt.sched = opt.sched;
-  popt.sched.steal = opt.sched_probe == "dynamic";
-  const int reps = opt.smoke ? 3 : 5;
-  double best = 1e300;
-  count_t entries = 0;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = Clock::now();
-    const Factorization f = parallel_numeric_factorize(*analysis, popt);
-    best = std::min(best, seconds_since(start));
-    entries = f.stats.factor_entries;
-  }
-  const double rate = static_cast<double>(entries) / best;
-  std::cout << "sched probe (" << opt.sched_probe
-            << ", policy=" << real_policy_name(opt.sched.policy)
-            << ", threads=" << threads << "): best " << best << " s, "
-            << rate << " factor entries/s\n";
-  std::ofstream json(opt.json_path);
-  json << "{\n"
-       << "  \"bench\": \"bench_numeric\",\n"
-       << "  \"sched_probe\": \"" << opt.sched_probe << "\",\n"
-       << "  \"policy\": \"" << real_policy_name(opt.sched.policy) << "\",\n"
-       << "  \"threads\": " << threads << ",\n"
-       << "  \"probe_best_s\": " << best << ",\n"
-       << "  \"sched_factor_entries_per_sec\": " << rate << "\n}\n";
-  if (!json) {
-    std::cerr << "bench_numeric: failed to write " << opt.json_path << '\n';
-    return 1;
-  }
-  std::cout << "wrote " << opt.json_path << '\n';
-  return 0;
-}
 
 }  // namespace
 
@@ -402,7 +330,6 @@ int main(int argc, char** argv) {
   const NumericOptionsCli opt = parse(argc, argv);
   const unsigned threads =
       opt.threads > 0 ? opt.threads : default_thread_count();
-  if (!opt.sched_probe.empty()) return run_sched_probe(opt, threads);
 
   std::cout << "bench_numeric: blocked kernels, arena stack, tree "
                "parallelism (scale="
@@ -510,7 +437,7 @@ int main(int argc, char** argv) {
                                          big.nfront},
                                big.npiv);
     TextTable stable({"workers", "split (ms)", "GF/s", "speedup x",
-                      "bitwise"});
+                      "helper slices", "bitwise"});
     for (unsigned w : {1u, 2u, 4u}) {
       const SplitRow row = time_split_kernel(original, big.nfront, big.npiv,
                                              w, reference, min_reps);
@@ -522,13 +449,15 @@ int main(int argc, char** argv) {
       stable.cell(split_rows.empty() ? 1.0
                                      : split_rows.front().seconds / row.seconds,
                   2);
+      stable.cell(static_cast<long>(row.helper_slices));
       stable.cell(row.bitwise ? "yes" : "NO");
       split_rows.push_back(row);
     }
     std::cout << "split kernel on the largest PRE2 front (nfront="
               << big.nfront << ", npiv=" << big.npiv
               << "): GF/s = model flops / time, speedup = 1-worker time / "
-                 "time\n";
+                 "time,\nhelper slices = slices the helper threads ran over "
+                 "all reps\n";
     stable.print(std::cout);
     // The split floor against the fork/join: the smallest trailing update
     // that splits, timed at the chosen path's Schur rate.
@@ -617,34 +546,26 @@ int main(int argc, char** argv) {
   std::cout << "\narena peaks " << (arena_matches ? "match" : "DIVERGE FROM")
             << " the predictions on every problem (serial ==, parallel <=)\n";
 
-  // ---- 3. static-vs-dynamic scheduler sweep --------------------------------
-  // Every Table-1 problem at a fixed worker count: the exact static
-  // schedule (steal=off), dynamic stealing under the workload policy,
-  // and dynamic stealing under the memory policy. Then worker scaling
-  // {1,2,4,8} on the problem where stealing helped most — the imbalanced
-  // tree whose LPT fold leaves workers idle.
+  // ---- 3. scheduler-policy sweep -----------------------------------------
+  // Every Table-1 problem at a fixed worker count under the workload
+  // policy and under the memory policy.
   const unsigned sched_workers = 4;
   auto timed_parallel = [](const Analysis& analysis, unsigned workers,
-                           bool steal, RealPolicy policy,
-                           ParallelNumericStats* stats) {
+                           RealPolicy policy, ParallelNumericStats* stats) {
     ParallelNumericOptions popt;
     popt.nthreads = workers;
     popt.nprocs = workers;
-    popt.sched.steal = steal;
     popt.sched.policy = policy;
     const auto start = Clock::now();
     (void)parallel_numeric_factorize(analysis, popt, stats);
     return seconds_since(start);
   };
 
-  std::cout << "\nscheduler sweep: static vs dynamic at " << sched_workers
-            << " workers\n";
-  TextTable stable({"Matrix", "static (s)", "dyn wl (s)", "dyn mem (s)",
-                    "steals", "idle st (ms)", "idle dyn (ms)", "dyn x"});
+  std::cout << "\nscheduler sweep: workload vs memory policy at "
+            << sched_workers << " workers\n";
+  TextTable sched_table({"Matrix", "workload (s)", "memory (s)", "steals",
+                         "idle (ms)", "peak wl (M dbl)", "peak mem (M dbl)"});
   std::vector<SchedRow> sched_rows;
-  std::string scaling_name;
-  double best_gain = 0.0;
-  std::shared_ptr<const Analysis> scaling_analysis;
   for (ProblemId id : all_problem_ids()) {
     const Problem p = make_problem(id, opt.scale);
     AnalysisOptions aopt;
@@ -655,81 +576,28 @@ int main(int argc, char** argv) {
 
     SchedRow row;
     row.name = p.name;
-    ParallelNumericStats st_static, st_wl, st_mem;
-    row.static_s = timed_parallel(*analysis, sched_workers, false,
-                                  RealPolicy::kWorkload, &st_static);
-    row.dyn_workload_s = timed_parallel(*analysis, sched_workers, true,
-                                        RealPolicy::kWorkload, &st_wl);
-    row.dyn_memory_s = timed_parallel(*analysis, sched_workers, true,
-                                      RealPolicy::kMemory, &st_mem);
+    ParallelNumericStats st_wl, st_mem;
+    row.workload_s = timed_parallel(*analysis, sched_workers,
+                                    RealPolicy::kWorkload, &st_wl);
+    row.memory_s = timed_parallel(*analysis, sched_workers,
+                                  RealPolicy::kMemory, &st_mem);
     row.steals = st_wl.sched.steals;
     row.wakeups = st_wl.sched.wakeups;
-    row.static_idle_ns = st_static.sched.idle_ns;
-    row.dyn_idle_ns = st_wl.sched.idle_ns;
-    row.static_peak = st_static.max_arena_peak_doubles;
-    row.dyn_peak = std::max(st_wl.max_arena_peak_doubles,
-                            st_mem.max_arena_peak_doubles);
-    row.subtrees = st_static.num_subtrees;
-    const double best_dyn = std::min(row.dyn_workload_s, row.dyn_memory_s);
-    row.dynamic_beats_static = best_dyn < row.static_s;
-    const double gain = row.static_s / best_dyn;
-    if (gain > best_gain) {
-      best_gain = gain;
-      scaling_name = row.name;
-      scaling_analysis = analysis;
-    }
-    stable.row();
-    stable.cell(row.name);
-    stable.cell(row.static_s, 3);
-    stable.cell(row.dyn_workload_s, 3);
-    stable.cell(row.dyn_memory_s, 3);
-    stable.cell(static_cast<long>(row.steals));
-    stable.cell(static_cast<double>(row.static_idle_ns) / 1e6, 1);
-    stable.cell(static_cast<double>(row.dyn_idle_ns) / 1e6, 1);
-    stable.cell(gain, 2);
+    row.idle_ns = st_wl.sched.idle_ns;
+    row.workload_peak = st_wl.max_arena_peak_doubles;
+    row.memory_peak = st_mem.max_arena_peak_doubles;
+    row.subtrees = st_wl.num_subtrees;
+    sched_table.row();
+    sched_table.cell(row.name);
+    sched_table.cell(row.workload_s, 3);
+    sched_table.cell(row.memory_s, 3);
+    sched_table.cell(static_cast<long>(row.steals));
+    sched_table.cell(static_cast<double>(row.idle_ns) / 1e6, 1);
+    sched_table.cell(static_cast<double>(row.workload_peak) / 1e6, 3);
+    sched_table.cell(static_cast<double>(row.memory_peak) / 1e6, 3);
     sched_rows.push_back(row);
   }
-  stable.print(std::cout);
-  bool any_dynamic_win = false;
-  for (const SchedRow& r : sched_rows)
-    any_dynamic_win = any_dynamic_win || r.dynamic_beats_static;
-  std::cout << "\ndynamic beats static on "
-            << (any_dynamic_win ? "at least one" : "NO")
-            << " problem at " << sched_workers << " workers (best gain "
-            << best_gain << "x on " << scaling_name << ")\n";
-
-  // Worker scaling on the most steal-responsive problem.
-  struct ScalingRow {
-    unsigned workers;
-    double static_s, dynamic_s;
-    std::uint64_t steals;
-  };
-  std::vector<ScalingRow> scaling_rows;
-  if (scaling_analysis) {
-    TextTable wtable({"workers", "static (s)", "dynamic (s)", "steals",
-                      "dyn x"});
-    for (unsigned w : {1u, 2u, 4u, 8u}) {
-      ParallelNumericStats st_s, st_d;
-      ScalingRow srow;
-      srow.workers = w;
-      srow.static_s =
-          timed_parallel(*scaling_analysis, w, false, RealPolicy::kWorkload,
-                         &st_s);
-      srow.dynamic_s =
-          timed_parallel(*scaling_analysis, w, true, RealPolicy::kWorkload,
-                         &st_d);
-      srow.steals = st_d.sched.steals;
-      wtable.row();
-      wtable.cell(static_cast<long>(w));
-      wtable.cell(srow.static_s, 3);
-      wtable.cell(srow.dynamic_s, 3);
-      wtable.cell(static_cast<long>(srow.steals));
-      wtable.cell(srow.static_s / srow.dynamic_s, 2);
-      scaling_rows.push_back(srow);
-    }
-    std::cout << "\nworker scaling on " << scaling_name << ":\n";
-    wtable.print(std::cout);
-  }
+  sched_table.print(std::cout);
 
   // ---- BENCH_sched.json ----------------------------------------------------
   {
@@ -743,34 +611,17 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < sched_rows.size(); ++i) {
       const SchedRow& r = sched_rows[i];
       sjson << "    {\"name\": \"" << r.name << "\""
-            << ", \"static_s\": " << r.static_s
-            << ", \"dyn_workload_s\": " << r.dyn_workload_s
-            << ", \"dyn_memory_s\": " << r.dyn_memory_s
+            << ", \"workload_s\": " << r.workload_s
+            << ", \"memory_s\": " << r.memory_s
             << ", \"steals\": " << r.steals
             << ", \"wakeups\": " << r.wakeups
-            << ", \"static_idle_ns\": " << r.static_idle_ns
-            << ", \"dyn_idle_ns\": " << r.dyn_idle_ns
-            << ", \"static_arena_peak_doubles\": " << r.static_peak
-            << ", \"dyn_arena_peak_doubles\": " << r.dyn_peak
-            << ", \"subtrees\": " << r.subtrees
-            << ", \"dynamic_beats_static\": "
-            << (r.dynamic_beats_static ? "true" : "false") << "}"
+            << ", \"idle_ns\": " << r.idle_ns
+            << ", \"workload_arena_peak_doubles\": " << r.workload_peak
+            << ", \"memory_arena_peak_doubles\": " << r.memory_peak
+            << ", \"subtrees\": " << r.subtrees << "}"
             << (i + 1 < sched_rows.size() ? "," : "") << "\n";
     }
-    sjson << "  ],\n"
-          << "  \"scaling_problem\": \"" << scaling_name << "\",\n"
-          << "  \"scaling\": [\n";
-    for (std::size_t i = 0; i < scaling_rows.size(); ++i) {
-      const ScalingRow& r = scaling_rows[i];
-      sjson << "    {\"workers\": " << r.workers
-            << ", \"static_s\": " << r.static_s
-            << ", \"dynamic_s\": " << r.dynamic_s
-            << ", \"steals\": " << r.steals << "}"
-            << (i + 1 < scaling_rows.size() ? "," : "") << "\n";
-    }
-    sjson << "  ],\n"
-          << "  \"dynamic_beats_static\": "
-          << (any_dynamic_win ? "true" : "false") << "\n}\n";
+    sjson << "  ]\n}\n";
     if (!sjson) {
       std::cerr << "bench_numeric: failed to write " << opt.sched_json_path
                 << '\n';
@@ -814,6 +665,7 @@ int main(int argc, char** argv) {
     json << "    {\"workers\": " << r.workers << ", \"seconds\": " << r.seconds
          << ", \"gflops\": " << kernel_rows.front().flops / r.seconds / 1e9
          << ", \"speedup\": " << split_rows.front().seconds / r.seconds
+         << ", \"helper_slices\": " << r.helper_slices
          << ", \"bitwise\": " << (r.bitwise ? "true" : "false") << "}"
          << (i + 1 < split_rows.size() ? "," : "") << "\n";
   }

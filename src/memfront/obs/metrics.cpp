@@ -256,7 +256,6 @@ void record_parallel_numeric_stats(const ParallelNumericStats& stats,
   // The dynamic scheduler (solver/scheduler): policy consults, stealing
   // traffic, and the targeted-wakeup discipline (wakeups << completions
   // is the point — the old pool notified everyone on every completion).
-  m.gauge("solver.sched.dynamic").set(stats.steal ? 1 : 0);
   m.counter("solver.sched.steals")
       .add(static_cast<std::int64_t>(stats.sched.steals));
   m.counter("solver.sched.steal_chunks")

@@ -9,14 +9,13 @@
 // keeps per-worker task deques with chunked work stealing, and consults
 // a SchedulerPolicy — the same strategy objects the scheduling
 // simulator runs — for every dispatch and admission, fed live
-// per-worker memory and load through a RealPolicyHost. Determinism mode
-// (sched.steal = false) reproduces the static LPT schedule exactly.
+// per-worker memory and load through a RealPolicyHost.
 //
 // The result is bit-identical to the sequential driver under any
 // schedule: every node is assembled and eliminated by exactly one task,
 // the child extend-add order is the tree's child order, and the kernels
 // are shared — so the parallel factorization equals numeric_factorize()
-// output bit for bit at any worker count, stealing on or off.
+// output bit for bit at any worker count and under any steal pattern.
 #pragma once
 
 #include "memfront/solver/numeric_factor.hpp"
@@ -34,8 +33,7 @@ struct ParallelNumericOptions {
   index_t nprocs = 0;
   SubtreeOptions subtree_options{};
   FrontalKernel kernel = FrontalKernel::kBlocked;
-  /// Scheduling: which SchedulerPolicy drives dispatch/admission and
-  /// whether workers steal (sched.steal = false is determinism mode).
+  /// Scheduling: which SchedulerPolicy drives dispatch and admission.
   RealSchedOptions sched{};
   /// Real out-of-core execution: one OocCoordinator gates every worker
   /// under a single global budget (ooc.budget_doubles); CBs spill to
@@ -58,10 +56,9 @@ struct ParallelNumericStats {
   /// footprint never exceeds it under any schedule;
   /// max_arena_peak_doubles <= this <= the serial predicted peak.
   count_t steal_arena_bound_doubles = 0;
-  /// Scheduler outcome: the policy that drove dispatch, whether
-  /// stealing was on, and the counters (steals, wakeups, consults...).
+  /// Scheduler outcome: the policy that drove dispatch and the
+  /// counters (steals, wakeups, consults...).
   const char* policy = "workload";
-  bool steal = false;
   SchedStats sched{};
 };
 

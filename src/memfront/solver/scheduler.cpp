@@ -50,6 +50,24 @@ void split_subtree_nodes(const Subtrees& subtrees,
   }
 }
 
+std::vector<std::vector<index_t>> lpt_worker_shares(const Subtrees& subtrees,
+                                                    unsigned workers) {
+  std::vector<std::vector<index_t>> shares(workers);
+  const index_t num_subtrees = static_cast<index_t>(subtrees.roots.size());
+  for (index_t s = 0; s < num_subtrees; ++s)
+    shares[static_cast<std::size_t>(
+               subtrees.proc[static_cast<std::size_t>(s)]) %
+           workers]
+        .push_back(s);
+  for (auto& list : shares)
+    std::sort(list.begin(), list.end(), [&](index_t a, index_t b) {
+      const count_t fa = subtrees.flops[static_cast<std::size_t>(a)];
+      const count_t fb = subtrees.flops[static_cast<std::size_t>(b)];
+      return fa != fb ? fa > fb : a < b;
+    });
+  return shares;
+}
+
 count_t predict_subtree_arena_peak(const AssemblyTree& tree,
                                    std::span<const index_t> nodes,
                                    index_t root) {
@@ -157,7 +175,6 @@ NumericScheduler::NumericScheduler(
                        options_.policy_override != nullptr;
 
   deques_.resize(workers);
-  started_.assign(workers, 0);
   // worker_subtrees[w] arrives largest-first; the deque dispatches from
   // the back, so push in reverse: back = the worker's biggest subtree
   // (the LPT order), front = the cold end thieves take from.
@@ -169,17 +186,12 @@ NumericScheduler::NumericScheduler(
   for (index_t i : upper_nodes)
     deps_[static_cast<std::size_t>(i)] =
         static_cast<index_t>(tree.children(i).size());
-  // Upper leaves start ready: the shared LIFO in static mode (exactly
-  // the old seeding), round-robin across the deques in dynamic mode.
+  // Upper leaves start ready, dealt round-robin across the deques.
   unsigned seed_w = 0;
   for (index_t i : upper_nodes) {
     if (deps_[static_cast<std::size_t>(i)] != 0) continue;
-    if (options_.steal) {
-      push_task_locked(seed_w % workers, Task{Task::Kind::kUpper, i});
-      ++seed_w;
-    } else {
-      shared_ready_.push_back(i);
-    }
+    push_task_locked(seed_w % workers, Task{Task::Kind::kUpper, i});
+    ++seed_w;
   }
   remaining_ = subtrees.roots.size() + upper_nodes.size();
 }
@@ -238,40 +250,20 @@ void NumericScheduler::push_task_locked(unsigned w, const Task& t) {
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, deques_[w].size());
 }
 
-/// The pool worker w's dispatch consult sees. Dynamic mode: the
-/// worker's own deque, back = pool top. Static mode: the shared upper
-/// LIFO *below* the worker's own subtrees, so a LIFO policy drains the
-/// own LPT share largest-first before touching uppers — today's static
-/// schedule exactly.
+/// The pool worker w's dispatch consult sees: the worker's own deque,
+/// back = pool top, so pool position == deque position.
 void NumericScheduler::build_pool_locked(unsigned w) {
   pool_nodes_.clear();
-  pool_refs_.clear();
-  if (!options_.steal) {
-    for (std::size_t k = 0; k < shared_ready_.size(); ++k) {
-      pool_nodes_.push_back(shared_ready_[k]);
-      pool_refs_.push_back(PoolRef{true, k});
-    }
-  }
-  for (std::size_t k = 0; k < deques_[w].size(); ++k) {
-    const Task& t = deques_[w][k];
+  for (const Task& t : deques_[w])
     pool_nodes_.push_back(t.kind == Task::Kind::kSubtree
                               ? subtrees_.roots[static_cast<std::size_t>(t.id)]
                               : t.id);
-    pool_refs_.push_back(PoolRef{false, k});
-  }
 }
 
 NumericScheduler::Task NumericScheduler::take_at_locked(unsigned w,
                                                         std::size_t pos) {
-  const PoolRef ref = pool_refs_[pos];
-  if (ref.shared) {
-    const index_t node = shared_ready_[ref.idx];
-    shared_ready_.erase(shared_ready_.begin() +
-                        static_cast<std::ptrdiff_t>(ref.idx));
-    return Task{Task::Kind::kUpper, node};
-  }
-  const Task t = deques_[w][ref.idx];
-  deques_[w].erase(deques_[w].begin() + static_cast<std::ptrdiff_t>(ref.idx));
+  const Task t = deques_[w][pos];
+  deques_[w].erase(deques_[w].begin() + static_cast<std::ptrdiff_t>(pos));
   host_.workers_[w].queued_flops -= task_flops(t);
   return t;
 }
@@ -335,21 +327,6 @@ bool NumericScheduler::try_steal_locked(unsigned w, double now) {
   return true;
 }
 
-bool NumericScheduler::try_adopt_locked(unsigned w) {
-  // Static mode only: adopt the whole share of a worker that never
-  // started (pool threads can fail to spawn under resource limits);
-  // without this its subtrees would never run.
-  for (std::size_t u = 0; u < deques_.size(); ++u) {
-    if (u == w || started_[u] || deques_[u].empty()) continue;
-    started_[u] = 1;
-    for (const Task& t : deques_[u]) push_task_locked(w, t);
-    deques_[u].clear();
-    host_.workers_[u].queued_flops = 0;
-    return true;
-  }
-  return false;
-}
-
 void NumericScheduler::notify_one_locked() {
   ++stats_.wakeups;
   cv_.notify_one();
@@ -362,11 +339,10 @@ void NumericScheduler::notify_all_locked() {
 
 bool NumericScheduler::next_task(unsigned w, Task& out) {
   std::unique_lock<std::mutex> lock(mu_);
-  started_[w] = 1;
   auto& ws = host_.workers_[w];
   for (;;) {
     if (failed_ || remaining_ == 0) return false;
-    if (!deques_[w].empty() || (!options_.steal && !shared_ready_.empty())) {
+    if (!deques_[w].empty()) {
       // The workload policy's dispatch is pure LIFO — it never reads
       // announced state, so skip the refresh on its hot path (steal
       // ranking refreshes for itself).
@@ -407,9 +383,7 @@ bool NumericScheduler::next_task(unsigned w, Task& out) {
       out = t;
       return true;
     }
-    if (options_.steal ? try_steal_locked(w, now_locked())
-                       : try_adopt_locked(w))
-      continue;
+    if (try_steal_locked(w, now_locked())) continue;
     if (hub_.joinable(w)) {
       // No tree task for w: help a big front instead of sleeping, until
       // a task is pushed somewhere (it may be one w can take).
@@ -449,12 +423,7 @@ void NumericScheduler::complete(unsigned w, const Task& task) {
       --deps_[static_cast<std::size_t>(parent)] == 0) {
     // The parent (always an upper node) became ready: locality says it
     // lands on the completing worker's deque; idle workers steal it.
-    if (options_.steal) {
-      push_task_locked(w, Task{Task::Kind::kUpper, parent});
-    } else {
-      bump_task_gen_locked();
-      shared_ready_.push_back(parent);
-    }
+    push_task_locked(w, Task{Task::Kind::kUpper, parent});
     readied = true;
   }
   --remaining_;

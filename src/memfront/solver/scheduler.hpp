@@ -14,16 +14,13 @@
 // the simulated processors announce, so WorkloadPolicy and MemoryPolicy
 // run unmodified against real workers.
 //
-// Work stealing (dynamic mode, the default): a worker whose deque runs
-// dry ranks the other workers by the policy's slave_metric — the most
-// loaded (workload) or most memory-burdened (memory) worker is the
-// victim — and steals a chunk: half the victim's whole-subtree tasks
-// from the cold end of its deque (the LPT order keeps the victim's
-// biggest subtrees with the victim), or, when the victim holds no
-// subtree tasks, one ready upper front. Determinism mode (steal=off)
-// reproduces the static PR-5 schedule exactly: each worker drains its
-// own LPT share largest-first, then takes upper fronts LIFO from a
-// shared pool, adopting the share of any worker that never spawned.
+// Work stealing: a worker whose deque runs dry ranks the other workers
+// by the policy's slave_metric — the most loaded (workload) or most
+// memory-burdened (memory) worker is the victim — and steals a chunk:
+// half the victim's whole-subtree tasks from the cold end of its deque
+// (the LPT order keeps the victim's biggest subtrees with the victim),
+// or, when the victim holds no subtree tasks, one ready upper front.
+// Stealing also drains the share of a worker that never spawned.
 //
 // Bitwise identity under any of this: a node is assembled and
 // eliminated by exactly one task, the extend-add order within a node is
@@ -63,10 +60,6 @@ enum class RealPolicy : unsigned char { kWorkload, kMemory };
 const char* real_policy_name(RealPolicy p);
 
 struct RealSchedOptions {
-  /// Work stealing. Off = determinism mode: the exact static schedule
-  /// (own LPT share largest-first, shared upper LIFO, orphan adoption),
-  /// zero steals.
-  bool steal = true;
   /// kWorkload = LIFO dispatch + flops-ranked victims (the MUMPS
   /// default); kMemory = Algorithm 2 memory-aware dispatch +
   /// memory-ranked victims with the Section 5.1 static knowledge.
@@ -98,6 +91,12 @@ void split_subtree_nodes(const Subtrees& subtrees,
                          std::span<const index_t> traversal,
                          std::vector<std::vector<index_t>>& subtree_nodes,
                          std::vector<index_t>& upper_nodes);
+
+/// Folds the Geist-Ng subtrees onto `workers` workers: subtree s goes to
+/// worker proc[s] % workers, and each worker's share is ordered biggest
+/// subtree (flops) first, ties by index — the LPT order.
+std::vector<std::vector<index_t>> lpt_worker_shares(const Subtrees& subtrees,
+                                                    unsigned workers);
 
 /// Exact arena + live-front peak of one whole-subtree task (doubles of
 /// full-square storage): the predict_arena_peak model over the
@@ -179,8 +178,8 @@ class NumericScheduler {
   };
 
   /// `worker_subtrees[w]` is worker w's LPT share, largest subtree
-  /// first. `ooc_budget_doubles` > 0 arms the spill-aware branch of the
-  /// memory-aware task selection.
+  /// first (lpt_worker_shares). `ooc_budget_doubles` > 0 arms the
+  /// spill-aware branch of the memory-aware task selection.
   NumericScheduler(const AssemblyTree& tree, const Subtrees& subtrees,
                    const std::vector<std::vector<index_t>>& subtree_nodes,
                    std::span<const index_t> upper_nodes,
@@ -227,11 +226,6 @@ class NumericScheduler {
   count_t steal_arena_bound_doubles() const { return steal_bound_; }
 
  private:
-  struct PoolRef {
-    bool shared = false;    ///< static mode: the shared upper pool
-    std::size_t idx = 0;    ///< position in deque / shared pool
-  };
-
   double now_locked() const;
   void refresh_announced_locked(double now);
   count_t task_window(const Task& t) const;
@@ -240,7 +234,6 @@ class NumericScheduler {
   void build_pool_locked(unsigned w);
   Task take_at_locked(unsigned w, std::size_t pos);
   bool try_steal_locked(unsigned w, double now);
-  bool try_adopt_locked(unsigned w);
   void notify_one_locked();
   void notify_all_locked();
   /// A task was pushed or the run failed: helpers return to dispatch.
@@ -266,8 +259,6 @@ class NumericScheduler {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::vector<Task>> deques_;  ///< back = hottest
-  std::vector<index_t> shared_ready_;      ///< static mode upper LIFO
-  std::vector<char> started_;              ///< worker ever dispatched
   std::vector<index_t> deps_;              ///< upper node -> open children
   std::size_t remaining_ = 0;
   std::size_t waiting_ = 0;
@@ -280,10 +271,9 @@ class NumericScheduler {
   std::atomic<std::uint64_t> task_gen_{0};
   SliceHub hub_;
 
-  /// Per-dispatch scratch (under mu_): the pool the policy sees and the
-  /// mapping back to deque/shared positions.
+  /// Per-dispatch scratch (under mu_): the pool the policy sees, one
+  /// node per deque position.
   std::vector<index_t> pool_nodes_;
-  std::vector<PoolRef> pool_refs_;
 };
 
 }  // namespace memfront

@@ -14,6 +14,7 @@
 #include "memfront/frontal/kernels.hpp"
 #include "memfront/obs/metrics.hpp"
 #include "memfront/obs/span_tracer.hpp"
+#include "memfront/solver/scheduler.hpp"
 #include "memfront/support/error.hpp"
 #include "memfront/support/fault.hpp"
 #include "memfront/support/parallel_for.hpp"
@@ -288,19 +289,9 @@ void run_forward_parallel(const SolveContext& ctx, SolveWorkspace& ws,
   for (index_t i : g.upper_nodes)
     if (ws.deps[sz(i)] == 0) ws.ready.push_back(i);
 
-  ws.worker_lists.resize(workers);
-  for (auto& list : ws.worker_lists) list.clear();
+  std::vector<std::vector<index_t>> shares =
+      lpt_worker_shares(g.subtrees, workers);
   ws.claimed.assign(workers, 0);
-  for (index_t s = 0; s < num_subtrees; ++s)
-    ws.worker_lists[static_cast<std::size_t>(g.subtrees.proc[sz(s)]) %
-                    workers]
-        .push_back(s);
-  for (auto& list : ws.worker_lists)
-    std::sort(list.begin(), list.end(), [&](index_t a, index_t b) {
-      const count_t fa = g.subtrees.flops[sz(a)];
-      const count_t fb = g.subtrees.flops[sz(b)];
-      return fa != fb ? fa > fb : a < b;
-    });
 
   SweepState st;
   st.remaining = sz(num_subtrees) + g.upper_nodes.size();
@@ -344,7 +335,7 @@ void run_forward_parallel(const SolveContext& ctx, SolveWorkspace& ws,
       const auto claim = [&](std::size_t u) {
         // Caller holds st.mu.
         ws.claimed[u] = 1;
-        return std::move(ws.worker_lists[u]);
+        return std::move(shares[u]);
       };
 
       std::vector<index_t> mine;
@@ -370,7 +361,7 @@ void run_forward_parallel(const SolveContext& ctx, SolveWorkspace& ws,
         }
         std::size_t orphan = ws.claimed.size();
         for (std::size_t u = 0; u < ws.claimed.size(); ++u)
-          if (!ws.claimed[u] && !ws.worker_lists[u].empty()) {
+          if (!ws.claimed[u] && !shares[u].empty()) {
             orphan = u;
             break;
           }

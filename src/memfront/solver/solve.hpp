@@ -110,7 +110,6 @@ struct SolveWorkspace {
   // path allocates nothing once warm).
   std::vector<index_t> deps;
   std::vector<index_t> ready;
-  std::vector<std::vector<index_t>> worker_lists;
   std::vector<char> claimed;
 
   void bind(const SolveGraph& graph, index_t n, index_t nrhs,

@@ -23,8 +23,6 @@
 #include "memfront/support/fault.hpp"
 #include "memfront/support/status.hpp"
 
-#if MEMFRONT_FAULTS
-
 namespace memfront {
 namespace {
 
@@ -58,10 +56,10 @@ bool bitwise_equal(const std::vector<double>& a,
 
 /// One factorize + solve under whatever plan is armed. Every taxonomy
 /// escape is captured; anything else propagates and fails the test.
-/// `sched_seed` rotates the scheduler through its modes (steal on/off x
-/// workload/memory policy) so the sweep — and the TSan build of it —
-/// exercises every dispatch path; results are mode-independent, so the
-/// bitwise baseline comparison stays valid.
+/// `sched_seed` rotates the scheduler through its workload and memory
+/// policies so the sweep — and the TSan build of it — exercises every
+/// dispatch path; results are policy-independent, so the bitwise
+/// baseline comparison stays valid.
 RunResult run_once(const Analysis& analysis, const std::vector<double>& b,
                    unsigned workers, std::uint64_t sched_seed = 0) {
   RunResult r;
@@ -69,9 +67,8 @@ RunResult run_once(const Analysis& analysis, const std::vector<double>& b,
     ParallelNumericOptions popt;
     popt.nthreads = workers;
     popt.nprocs = 8;  // fixed mapping: bits must not depend on workers
-    popt.sched.steal = (sched_seed % 2 == 0);
     popt.sched.policy =
-        (sched_seed % 4 < 2) ? RealPolicy::kWorkload : RealPolicy::kMemory;
+        (sched_seed % 2 == 0) ? RealPolicy::kWorkload : RealPolicy::kMemory;
     r.fact = parallel_numeric_factorize(analysis, popt);
     SolveOptions sopt;
     sopt.nthreads = workers;
@@ -303,8 +300,6 @@ TEST(ChaosHarness, OocDiskFaultSweep) {
   EXPECT_GT(io_failed, 0) << "no disk schedule ever exhausted its retries";
 }
 
-#if MEMFRONT_OOC_REAL
-
 constexpr std::uint64_t kRealOocSeedsPerCase = 24;
 
 /// The *real* spill path under disk chaos: factorize + solve with a
@@ -334,9 +329,8 @@ TEST_P(RealOocDiskChaos, EverySpillScheduleIsBitIdenticalOrStructured) {
     RunResult r;
     try {
       ParallelNumericOptions ropt = popt;
-      ropt.sched.steal = (sched_seed % 2 == 0);
-      ropt.sched.policy = (sched_seed % 4 < 2) ? RealPolicy::kWorkload
-                                               : RealPolicy::kMemory;
+      ropt.sched.policy = (sched_seed % 2 == 0) ? RealPolicy::kWorkload
+                                                : RealPolicy::kMemory;
       r.fact = parallel_numeric_factorize(analysis, ropt);
       SolveOptions sopt;
       sopt.nthreads = workers;
@@ -404,8 +398,6 @@ INSTANTIATE_TEST_SUITE_P(RealSpillPath, RealOocDiskChaos,
                                   std::to_string(info.param);
                          });
 
-#endif  // MEMFRONT_OOC_REAL
-
 // ctest runs every gtest case in its own process, so the acceptance
 // floor (>= 200 seeded schedules across the binary) is checked
 // statically from the sweep dimensions, not a runtime tally.
@@ -417,5 +409,3 @@ TEST(ChaosHarness, SweepDimensionsMeetTheScheduleFloor) {
 
 }  // namespace
 }  // namespace memfront
-
-#endif  // MEMFRONT_FAULTS

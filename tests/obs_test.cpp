@@ -17,6 +17,7 @@
 #include "memfront/obs/metrics.hpp"
 #include "memfront/obs/span_tracer.hpp"
 #include "memfront/sim/trace.hpp"
+#include "memfront/support/fault.hpp"
 #include "memfront/support/parallel_for.hpp"
 
 // ---- allocation counting for the disabled-mode test ------------------------
@@ -96,8 +97,6 @@ class TracerTest : public ::testing::Test {
   }
 };
 
-#if MEMFRONT_OBS
-
 TEST_F(TracerTest, SpanNestingRecordsContainedIntervals) {
   Tracer::set_enabled(true);
   {
@@ -124,22 +123,26 @@ TEST_F(TracerTest, SpanNestingRecordsContainedIntervals) {
 }
 
 TEST_F(TracerTest, DisabledMacrosAllocateNothing) {
+  // Tracing off and no fault plan armed, the runtime default: every
+  // instrumentation site is a relaxed load and allocates nothing.
   Tracer::set_enabled(false);
+  ASSERT_FALSE(fault::Registry::armed());
   const std::size_t before = g_allocations.load();
+  int fired = 0;
   for (int i = 0; i < 1000; ++i) {
     MEMFRONT_SPAN("disabled_span", i);
     MEMFRONT_INSTANT("disabled_instant", i);
     MEMFRONT_COUNTER("disabled_counter", i);
+    if (MEMFRONT_FAULT("disarmed_fault", i)) ++fired;
   }
   EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(fired, 0);
   // And nothing was recorded either.
   const std::vector<Tracer::TrackSnapshot> tracks = Tracer::global().snapshot();
   std::size_t events = 0;
   for (const Tracer::TrackSnapshot& t : tracks) events += t.events.size();
   EXPECT_EQ(events, 0u);
 }
-
-#endif  // MEMFRONT_OBS
 
 TEST_F(TracerTest, RingWraparoundKeepsNewestEvents) {
   Tracer::global().set_ring_capacity(8);

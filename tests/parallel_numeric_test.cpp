@@ -235,8 +235,8 @@ TEST(ParallelNumeric, SplitTreeParallelSolves) {
 }
 
 // The GUPTA3 and TWOTONE analogues at a scale where their largest front
-// (502 and 827) splits its early panel steps: every worker count x steal
-// on/off x policy, and the out-of-core path at 0.8x the in-core peak,
+// (502 and 827) splits its early panel steps: every worker count x
+// policy, and the out-of-core path at 0.8x the in-core peak,
 // must reproduce the serial factors bit for bit.
 class SplitFronts : public ::testing::TestWithParam<ProblemId> {};
 
@@ -249,29 +249,25 @@ TEST_P(SplitFronts, BitIdenticalToSerialInEveryMode) {
   const Factorization serial = numeric_factorize(analysis);
 
   for (unsigned workers : {1u, 2u, 4u, 8u})
-    for (bool steal : {true, false})
-      for (RealPolicy policy : {RealPolicy::kWorkload, RealPolicy::kMemory}) {
-        const std::string label = "workers=" + std::to_string(workers) +
-                                  " steal=" + std::to_string(steal) + " " +
-                                  real_policy_name(policy);
-        ParallelNumericOptions popt;
-        popt.nthreads = workers;
-        popt.nprocs = 4;
-        popt.sched.steal = steal;
-        popt.sched.policy = policy;
-        ParallelNumericStats pstats;
-        const Factorization parallel =
-            parallel_numeric_factorize(analysis, popt, &pstats);
-        expect_factorizations_bitwise_equal(serial, parallel, label);
-        // Whether a front splits depends on its size and the worker
-        // count only; with one worker nobody could help.
-        if (workers == 1)
-          EXPECT_EQ(pstats.sched.split_fronts, 0u) << label;
-        else
-          EXPECT_GT(pstats.sched.split_fronts, 0u) << label;
-      }
+    for (RealPolicy policy : {RealPolicy::kWorkload, RealPolicy::kMemory}) {
+      const std::string label = "workers=" + std::to_string(workers) + " " +
+                                real_policy_name(policy);
+      ParallelNumericOptions popt;
+      popt.nthreads = workers;
+      popt.nprocs = 4;
+      popt.sched.policy = policy;
+      ParallelNumericStats pstats;
+      const Factorization parallel =
+          parallel_numeric_factorize(analysis, popt, &pstats);
+      expect_factorizations_bitwise_equal(serial, parallel, label);
+      // Whether a front splits depends on its size and the worker count
+      // only; with one worker nobody could help.
+      if (workers == 1)
+        EXPECT_EQ(pstats.sched.split_fronts, 0u) << label;
+      else
+        EXPECT_GT(pstats.sched.split_fronts, 0u) << label;
+    }
 
-#if MEMFRONT_OOC_REAL
   for (unsigned workers : {2u, 4u}) {
     ParallelNumericOptions popt;
     popt.nthreads = workers;
@@ -289,7 +285,6 @@ TEST_P(SplitFronts, BitIdenticalToSerialInEveryMode) {
     expect_factorizations_bitwise_equal(
         serial, ooc, "ooc 0.8x workers=" + std::to_string(workers));
   }
-#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(BigFronts, SplitFronts,

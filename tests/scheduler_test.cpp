@@ -1,10 +1,8 @@
 // Coverage of the dynamic, policy-consulted worker-pool scheduler
 // (solver/scheduler):
 //   - bitwise identity to the serial driver at 1/2/4/8 workers, for
-//     both policies, with stealing on and off (the PR-5 goldens pin the
-//     serial driver, so identity to it is identity to the goldens),
-//   - determinism mode (steal=off) reproduces the static schedule:
-//     zero steals, bit-identical reruns,
+//     both policies (the goldens pin the serial factorization, so
+//     identity to it is identity to the goldens),
 //   - steal-storm stress: a 1-wide chain tree with 8 workers — every
 //     upper task readies one at a time, everyone fights over it,
 //   - policy-consultation counting through a mock SchedulerPolicy: the
@@ -82,46 +80,23 @@ TEST(Scheduler, BitIdenticalAcrossPoliciesWorkersAndStealing) {
       analyzed_problem(ProblemId::kXenon2, 0.16, OrderingKind::kAmd);
   const Factorization serial = numeric_factorize(analysis);
   for (RealPolicy policy : {RealPolicy::kWorkload, RealPolicy::kMemory}) {
-    for (bool steal : {false, true}) {
-      for (unsigned nthreads : {1u, 2u, 4u, 8u}) {
-        ParallelNumericOptions popt;
-        popt.nthreads = nthreads;
-        popt.nprocs = 8;  // fixed mapping regardless of the host
-        popt.sched.policy = policy;
-        popt.sched.steal = steal;
-        ParallelNumericStats stats;
-        const Factorization fact =
-            parallel_numeric_factorize(analysis, popt, &stats);
-        const std::string label = std::string(real_policy_name(policy)) +
-                                  (steal ? "/steal" : "/static") +
-                                  "/workers=" + std::to_string(nthreads);
-        expect_bitwise_equal(serial, fact, label);
-        if (!steal) EXPECT_EQ(stats.sched.steals, 0u) << label;
-        EXPECT_EQ(stats.sched.completions,
-                  static_cast<std::uint64_t>(stats.num_subtrees) +
-                      static_cast<std::uint64_t>(stats.num_upper_nodes))
-            << label;
-      }
+    for (unsigned nthreads : {1u, 2u, 4u, 8u}) {
+      ParallelNumericOptions popt;
+      popt.nthreads = nthreads;
+      popt.nprocs = 8;  // fixed mapping regardless of the host
+      popt.sched.policy = policy;
+      ParallelNumericStats stats;
+      const Factorization fact =
+          parallel_numeric_factorize(analysis, popt, &stats);
+      const std::string label = std::string(real_policy_name(policy)) +
+                                "/workers=" + std::to_string(nthreads);
+      expect_bitwise_equal(serial, fact, label);
+      EXPECT_EQ(stats.sched.completions,
+                static_cast<std::uint64_t>(stats.num_subtrees) +
+                    static_cast<std::uint64_t>(stats.num_upper_nodes))
+          << label;
     }
   }
-}
-
-TEST(Scheduler, DeterminismModeIsRepeatableWithZeroSteals) {
-  const Analysis analysis =
-      analyzed_problem(ProblemId::kTwotone, 0.16, OrderingKind::kAmf);
-  ParallelNumericOptions popt;
-  popt.nthreads = 4;
-  popt.nprocs = 4;
-  popt.sched.steal = false;
-  ParallelNumericStats s1, s2;
-  const Factorization a = parallel_numeric_factorize(analysis, popt, &s1);
-  const Factorization b = parallel_numeric_factorize(analysis, popt, &s2);
-  expect_bitwise_equal(a, b, "determinism rerun");
-  EXPECT_EQ(s1.sched.steals, 0u);
-  EXPECT_EQ(s2.sched.steals, 0u);
-  EXPECT_EQ(s1.sched.steal_chunks, 0u);
-  EXPECT_FALSE(s1.steal);
-  EXPECT_STREQ(s1.policy, "workload");
 }
 
 TEST(Scheduler, StealStormOnChainTree) {
@@ -205,7 +180,6 @@ TEST(Scheduler, EveryDispatchAndAdmissionConsultsThePolicy) {
 }
 
 TEST(Scheduler, OocAdmissionsConsultThePolicyPerReservation) {
-#if MEMFRONT_OOC_REAL
   const Analysis analysis =
       analyzed_problem(ProblemId::kTwotone, 0.14, OrderingKind::kAmd);
   CountingPolicy counting;
@@ -227,9 +201,6 @@ TEST(Scheduler, OocAdmissionsConsultThePolicyPerReservation) {
   EXPECT_EQ(counting.admit_calls,
             tasks + static_cast<std::size_t>(analysis.tree.num_nodes()));
   expect_bitwise_equal(numeric_factorize(analysis), fact, "ooc counting");
-#else
-  GTEST_SKIP() << "MEMFRONT_OOC_REAL=OFF";
-#endif
 }
 
 TEST(Scheduler, TargetedWakeupsStayFarBelowBroadcast) {
@@ -273,6 +244,22 @@ TEST(Scheduler, StealBoundHelpersAreConsistent) {
     EXPECT_LE(predict_subtree_arena_peak(analysis.tree, subtree_nodes[s],
                                          subtrees.roots[s]),
               bound);
+  // The LPT fold: every subtree on worker proc % 3 exactly once, each
+  // share biggest subtree first.
+  const auto shares = lpt_worker_shares(subtrees, 3);
+  ASSERT_EQ(shares.size(), 3u);
+  std::vector<int> seen(subtrees.roots.size(), 0);
+  for (std::size_t w = 0; w < shares.size(); ++w)
+    for (std::size_t k = 0; k < shares[w].size(); ++k) {
+      const auto s = static_cast<std::size_t>(shares[w][k]);
+      ++seen[s];
+      EXPECT_EQ(static_cast<std::size_t>(subtrees.proc[s]) % 3, w);
+      if (k > 0)
+        EXPECT_GE(
+            subtrees.flops[static_cast<std::size_t>(shares[w][k - 1])],
+            subtrees.flops[s]);
+    }
+  for (int c : seen) EXPECT_EQ(c, 1);
 }
 
 }  // namespace
